@@ -1,5 +1,5 @@
-//! Shared command-line parsing for the experiment binaries and
-//! `gsdram-sim`. One [`Args`] value wraps an argv slice, so the same
+//! Shared command-line parsing for `gsdram-sim` and the experiment
+//! registry. One [`Args`] value wraps an argv slice, so the same
 //! lookups work on `std::env::args()` and on synthetic argument lists
 //! in tests — and the flag grammar (`--name value`, `--flag`,
 //! `--list a,b,c`) is defined in exactly one place.
@@ -23,11 +23,6 @@ impl Args {
         Args {
             argv: argv.into_iter().map(Into::into).collect(),
         }
-    }
-
-    /// The raw arguments.
-    pub fn raw(&self) -> &[String] {
-        &self.argv
     }
 
     /// The first non-flag argument (e.g. the workload or experiment
@@ -70,8 +65,6 @@ impl Args {
         "quiet",
         "hist",
         "all",
-        "quick",
-        "shard",
     ];
 
     /// `--name value` lookup.

@@ -110,12 +110,6 @@ pub const REGISTRY: &[ExperimentDef] = &[
         render: ablation_sectored_render,
     },
     ExperimentDef {
-        name: "ablation_scheduler",
-        title: "Ablation: FR-FCFS vs FCFS under HTAP",
-        specs: ablation_scheduler_specs,
-        render: ablation_scheduler_render,
-    },
-    ExperimentDef {
         name: "ablation_sched",
         title: "Ablation: scheduling engines (fr-fcfs, fcfs, fr-fcfs-cap, bank-rr) under HTAP",
         specs: ablation_sched_specs,
@@ -206,7 +200,7 @@ pub fn listing_entries() -> Vec<listing::Entry> {
 /// Looks up an experiment by registry key, or returns an error listing
 /// the whole registry (name + title per line, plus a "did you mean"
 /// when a registered name is close) — the one unknown-name message
-/// `sweep`, `trace` and the experiment binaries all share.
+/// `sweep` and `trace` share.
 pub fn resolve(name: &str) -> Result<&'static ExperimentDef, String> {
     find(name).ok_or_else(|| {
         listing::unknown(
@@ -346,18 +340,6 @@ pub fn run_named(name: &str, args: &Args) -> Result<StatsNode, String> {
         write_output(&path, &node.to_json_pretty())?;
     }
     Ok(node)
-}
-
-/// `main` body for the thin experiment binaries: parse the process
-/// arguments and run `name`.
-pub fn cli_main(name: &str) -> std::process::ExitCode {
-    match run_named(name, &Args::from_env()) {
-        Ok(_) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
 }
 
 // ---------------------------------------------------------------- helpers
@@ -1002,65 +984,6 @@ fn ablation_sectored_render(args: &Args, _outs: &[RunOutcome]) -> StatsNode {
                 .gauge("resident_tag_utilisation", util)
                 .counter("rmw_writebacks", s.partial_writebacks.max(sectored_rmw)),
         )
-}
-
-// ----------------------------------------------------- ablation_scheduler
-
-fn ablation_scheduler_specs(args: &Args) -> Vec<RunSpec> {
-    let tuples = args.u64("--tuples", 1 << 18);
-    let spec = TxnSpec {
-        read_only: 1,
-        write_only: 1,
-        read_write: 0,
-    };
-    let mut v = Vec::new();
-    for (pname, policy) in [("frfcfs", SchedPolicy::FrFcfs), ("fcfs", SchedPolicy::Fcfs)] {
-        for layout in [Layout::RowStore, Layout::GsDram] {
-            // Prefetching keeps several analytics requests queued at
-            // the controller — that is what lets FR-FCFS starve the
-            // transaction thread (S5.1).
-            let mut machine = MachineSpec::table1(2, table_mem(tuples)).with_prefetch();
-            machine.sched = policy;
-            v.push(RunSpec {
-                id: format!("ablation_scheduler/{pname}/{}", slug(layout)),
-                machine,
-                workload: WorkloadSpec::Htap {
-                    layout,
-                    tuples,
-                    spec,
-                    seed: 99,
-                },
-            });
-        }
-    }
-    v
-}
-
-fn ablation_scheduler_render(_args: &Args, outs: &[RunOutcome]) -> StatsNode {
-    let mut configs = Vec::new();
-    for pname in ["frfcfs", "fcfs"] {
-        for layout in [Layout::RowStore, Layout::GsDram] {
-            let o = get(
-                outs,
-                &format!("ablation_scheduler/{pname}/{}", slug(layout)),
-            );
-            configs.push(
-                StatsNode::new(format!("{pname}_{}", slug(layout)))
-                    .gauge("analytics_mcycles", mc(o.scaled_cycles()))
-                    .gauge(
-                        "txn_throughput_mps",
-                        // gsdram-lint: allow(D4) htap experiment always records this extra
-                        o.extra("txn_throughput_mps").expect("htap outcome"),
-                    ),
-            );
-        }
-    }
-    StatsNode::new("summary")
-        .text(
-            "paper",
-            "FCFS removes the row-hit prioritisation that starves Row Store txns",
-        )
-        .children_from(configs)
 }
 
 // -------------------------------------------------------- ablation_sched
@@ -1759,10 +1682,6 @@ const CHANNEL_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn scale_channels_specs(args: &Args) -> Vec<RunSpec> {
     let tuples = args.u64("--tuples", 1 << 20);
-    // `--shard` only changes how the simulator spends wall-clock; the
-    // figure JSON is byte-identical either way (pinned by the engine
-    // tests), so honouring it here is safe.
-    let shard = args.flag("--shard");
     let mut v = Vec::new();
     for channels in CHANNEL_COUNTS {
         for layout in [Layout::RowStore, Layout::GsDram] {
@@ -1770,7 +1689,6 @@ fn scale_channels_specs(args: &Args) -> Vec<RunSpec> {
             // independent channels actually overlap service.
             let mut machine = MachineSpec::table1(1, table_mem(tuples)).with_prefetch();
             machine.channels = channels;
-            machine.shard = shard;
             v.push(RunSpec {
                 id: format!("scale_channels/ch{channels}/{}", slug(layout)),
                 machine,
@@ -1823,7 +1741,7 @@ mod tests {
             assert!(!names[i + 1..].contains(n), "duplicate name {n}");
             assert_eq!(find(n).map(|d| d.name), Some(*n));
         }
-        assert_eq!(names.len(), 21);
+        assert_eq!(names.len(), 20);
         assert!(find("nonsense").is_none());
     }
 

@@ -4,9 +4,8 @@
 //! mapping every figure/ablation/extension of DESIGN.md §5–§6 to its
 //! specs ([`experiments`]), a parallel sweep runner ([`sweep`]), shared
 //! command-line parsing ([`args`]), registry listing and "did you
-//! mean" errors ([`listing`]), the simulator-throughput harness
-//! ([`perf`]) behind `gsdram-bench perf`, and the micro-benchmark
-//! harness ([`micro`]) used by the `benches/` targets.
+//! mean" errors ([`listing`]), and the micro-benchmark harness
+//! ([`micro`]) used by the `benches/` targets.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -15,7 +14,6 @@ pub mod args;
 pub mod experiments;
 pub mod listing;
 pub mod micro;
-pub mod perf;
 pub mod spec;
 pub mod sweep;
 

@@ -96,11 +96,6 @@ pub struct MachineSpec {
     pub channels: usize,
     /// DDR timing pack.
     pub timing: TimingPack,
-    /// Shard per-channel controller advance across threads (pure
-    /// wall-clock optimisation, bit-identical results — deliberately
-    /// absent from [`describe`](Self::describe) so sharded and serial
-    /// figure JSON diff clean).
-    pub shard: bool,
 }
 
 impl MachineSpec {
@@ -117,7 +112,6 @@ impl MachineSpec {
             ranks: 1,
             channels: 1,
             timing: TimingPack::Ddr3_1600,
-            shard: false,
         }
     }
 
@@ -135,9 +129,9 @@ impl MachineSpec {
 
     /// Applies the shared machine flags (`--prefetch`, `--impulse`,
     /// `--fcfs`, `--sched <policy>`, `--mapping <hash>`,
-    /// `--timing <pack>`, `--closed-row`, `--ranks`, `--channels`,
-    /// `--shard`) on top of this spec — the one definition both
-    /// `gsdram-sim` and the experiment binaries use.
+    /// `--timing <pack>`, `--closed-row`, `--ranks`, `--channels`) on
+    /// top of this spec — the one definition every `gsdram-sim`
+    /// subcommand uses.
     ///
     /// Unknown policy/preset names and out-of-range counts are hard
     /// CLI errors (with a did-you-mean suggestion and the accepted
@@ -195,9 +189,6 @@ impl MachineSpec {
         if args.flag("--closed-row") {
             self.row_policy = RowPolicy::Closed;
         }
-        if args.flag("--shard") {
-            self.shard = true;
-        }
         self.ranks = args.usize("--ranks", self.ranks);
         self.channels = args.usize("--channels", self.channels);
         validate_count("--ranks", self.ranks)?;
@@ -217,9 +208,6 @@ impl MachineSpec {
         if self.timing != TimingPack::default() {
             cfg = cfg.with_timing(self.timing);
         }
-        if self.shard {
-            cfg = cfg.with_shard();
-        }
         cfg.controller.policy = self.sched;
         cfg.controller.row_policy = self.row_policy;
         cfg.mapping = self.mapping;
@@ -234,9 +222,7 @@ impl MachineSpec {
     /// One-line description for reports. The non-default axes
     /// (`mapping=`, `timing=`) only appear when set, so descriptions
     /// of Table 1 machines — and hence the frozen figure JSON — are
-    /// unchanged by new axes. `shard` is deliberately never shown:
-    /// it changes wall-clock only, and sharded vs serial figure JSON
-    /// must byte-diff clean.
+    /// unchanged by new axes.
     pub fn describe(&self) -> String {
         format!(
             "cores={} mem={}MiB{}{} sched={} row={} ranks={} channels={}{}{}",
@@ -840,15 +826,13 @@ mod tests {
     }
 
     #[test]
-    fn machine_spec_timing_and_shard_args() {
-        let args = Args::new(["--timing", "ddr4-2400", "--shard", "--channels", "4"]);
+    fn machine_spec_timing_and_channel_args() {
+        let args = Args::new(["--timing", "ddr4-2400", "--channels", "4"]);
         let ms = MachineSpec::table1(1, 1 << 20).with_args(&args).unwrap();
         assert_eq!(ms.timing, TimingPack::Ddr4_2400);
-        assert!(ms.shard);
         assert_eq!(ms.channels, 4);
         let cfg = ms.config();
         assert_eq!(cfg.cpu_per_mem, 3);
-        assert!(cfg.shard);
         assert_eq!(cfg.channels, 4);
     }
 
@@ -903,9 +887,5 @@ mod tests {
             ms.describe(),
             "cores=1 mem=1MiB sched=bank-rr4 row=open ranks=1 channels=1 mapping=xor-bank timing=ddr4-2400"
         );
-        // Sharding must never leak into the description: sharded and
-        // serial runs of the same machine byte-diff their figure JSON.
-        ms.shard = true;
-        assert!(!ms.describe().contains("shard"));
     }
 }

@@ -40,9 +40,9 @@ fn fig10_json_matches_pre_refactor_baseline() {
 }
 
 /// The pattern-engine experiments have their own committed baselines
-/// (under `crates/bench/tests/baselines/`, generated at the
-/// perf-quick pinned sizes): the stride sweep's speedup column IS the
-/// paper-extending claim — gains track the largest power-of-two
+/// (under `crates/bench/tests/baselines/`, generated at the CI-smoke
+/// sizes): the stride sweep's speedup column IS the paper-extending
+/// claim — gains track the largest power-of-two
 /// factor of the stride, capped at 8 — so a byte must not move
 /// without a review diff (CI's pattern-smoke job diffs the CLI output
 /// against the same files).
@@ -71,8 +71,8 @@ fn pattern_indirect_json_matches_committed_baseline() {
 }
 
 /// The multi-channel scaling experiment has its own committed baseline
-/// (generated at the perf-quick pinned size). Channel counts beyond
-/// one exercise the whole XOR-matrix mapping pipeline and the
+/// (generated at the CI-smoke size). Channel counts beyond one
+/// exercise the whole XOR-matrix mapping pipeline and the
 /// per-channel controller plumbing, so this pin is what freezes the
 /// multi-channel decomposition: a byte moving here means addresses
 /// started landing on different channels.

@@ -101,27 +101,35 @@ fn traced_sweep_is_bit_identical_to_untraced() {
 
 /// The acceptance criterion one level up: a whole registry experiment
 /// run with collectors attached emits figure JSON byte-identical to
-/// the untraced run, and its Chrome trace is well-formed JSON.
+/// the untraced run, and its Chrome trace is well-formed JSON. Covers
+/// a single-channel machine and the multi-channel `scale_channels`
+/// sweep, whose bridge advances each channel under the observer.
 #[test]
 fn traced_experiment_figure_json_matches_untraced() {
-    let def = find("fig10").expect("registered");
-    let args = Args::new(["--tuples", "2048", "--serial"]);
-    let plain = run_experiment(def, &args);
-    let (traced, traces) = run_experiment_traced(def, &args, 4096);
-    assert_eq!(plain.to_json_pretty(), traced.to_json_pretty());
-    assert_eq!(
-        traces.len(),
-        plain.counter_at("total_runs").unwrap() as usize
-    );
-    let chrome = gsdram_telemetry::chrome_trace(
-        &traces
-            .iter()
-            .map(|(id, t)| (id.clone(), t))
-            .collect::<Vec<_>>(),
-    );
-    let doc = Json::parse(&chrome).expect("chrome trace parses");
-    let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
-    assert!(!events.is_empty());
+    for name in ["fig10", "scale_channels"] {
+        let def = find(name).expect("registered");
+        let args = Args::new(["--tuples", "2048", "--serial"]);
+        let plain = run_experiment(def, &args);
+        let (traced, traces) = run_experiment_traced(def, &args, 4096);
+        assert_eq!(
+            plain.to_json_pretty(),
+            traced.to_json_pretty(),
+            "{name}: tracing changed the figure JSON"
+        );
+        assert_eq!(
+            traces.len(),
+            plain.counter_at("total_runs").unwrap() as usize
+        );
+        let chrome = gsdram_telemetry::chrome_trace(
+            &traces
+                .iter()
+                .map(|(id, t)| (id.clone(), t))
+                .collect::<Vec<_>>(),
+        );
+        let doc = Json::parse(&chrome).expect("chrome trace parses");
+        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+        assert!(!events.is_empty(), "{name}: empty trace");
+    }
 }
 
 /// The iteration-order pin: two identical invocations must emit
@@ -181,24 +189,6 @@ fn pattern_experiments_are_deterministic_serial_and_parallel() {
             "{name}: two runs must be byte-identical"
         );
     }
-}
-
-/// The shard-determinism pin at the registry level: `scale_channels`
-/// run with `--shard` (multi-channel controllers advanced on worker
-/// threads inside each machine) emits figure JSON byte-identical to
-/// the plain `--serial` run. This is the in-process counterpart of
-/// CI's two-process shard byte-diff, and the machine-scope leg of the
-/// proof obligation carried by `gsdram_dram::shard`'s D8 waiver.
-#[test]
-fn sharded_scale_channels_is_byte_identical_to_serial() {
-    let def = find("scale_channels").expect("registered");
-    let serial = run_experiment(def, &Args::new(["--tuples", "2048", "--serial"]));
-    let sharded = run_experiment(def, &Args::new(["--tuples", "2048", "--serial", "--shard"]));
-    assert_eq!(serial, sharded, "sharding must not change any result");
-    assert_eq!(serial.to_json_pretty(), sharded.to_json_pretty());
-    // And the sharded run itself is reproducible run-to-run.
-    let again = run_experiment(def, &Args::new(["--tuples", "2048", "--serial", "--shard"]));
-    assert_eq!(sharded.to_json_pretty(), again.to_json_pretty());
 }
 
 /// Every value kind an experiment emits (counters, gauges, text,

@@ -48,8 +48,6 @@
 //!   --closed-row   closed-row buffer management
 //!   --ranks N      DRAM ranks                   (default 1; 1,2,4,8,16)
 //!   --channels N   DRAM channels                (default 1; 1,2,4,8,16)
-//!   --shard        advance channels on worker threads (bit-identical
-//!                  results, faster wall-clock on multi-channel runs)
 //!   --seed N       workload RNG seed            (default 42)
 //!   --json PATH    write the run's stats tree as JSON
 //! ```
@@ -421,7 +419,7 @@ fn main() -> ExitCode {
     let mem = (tuples as usize * 64 * 2).max(16 << 20);
     // The one machine-flag parser shared with the experiment engine
     // (--prefetch, --impulse, --fcfs, --sched, --mapping, --timing,
-    // --closed-row, --ranks, --channels, --shard). Parsed once up
+    // --closed-row, --ranks, --channels). Parsed once up
     // front so a bad flag fails before any workload builds memory;
     // each workload then patches in its core count and memory size.
     let parsed = match MachineSpec::table1(1, mem).with_args(&args) {

@@ -314,11 +314,6 @@ impl EventHub {
         self.sink.take()
     }
 
-    /// Whether a sink is attached.
-    pub fn is_attached(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Emits the event built by `make` to the attached sink, if any.
     /// `make` is only invoked when a sink is attached.
     #[inline]
@@ -338,7 +333,6 @@ mod tests {
     #[test]
     fn unattached_hub_never_builds_events() {
         let mut hub = EventHub::new();
-        assert!(!hub.is_attached());
         hub.emit(|| panic!("event must not be constructed without a sink"));
     }
 
@@ -348,7 +342,6 @@ mod tests {
         let log = Rc::clone(&seen);
         let mut hub = EventHub::new();
         hub.attach(Box::new(move |ev: &SimEvent| log.borrow_mut().push(*ev)));
-        assert!(hub.is_attached());
         hub.emit(|| SimEvent::DramComplete { id: 1, at_mem: 10 });
         hub.emit(|| SimEvent::DramComplete { id: 2, at_mem: 20 });
         let seen = seen.borrow();

@@ -50,7 +50,6 @@ pub mod energy;
 pub mod mapping;
 pub mod refresh;
 pub mod sched;
-pub mod shard;
 pub mod timing;
 pub mod verify;
 pub mod wdrain;

@@ -178,11 +178,7 @@ impl SchedFeedback {
 /// A command-selection engine. See the module docs for the contract;
 /// `prefers` must be a strict ordering criterion (irreflexive), and
 /// `select` must be deterministic in `cands` and engine state.
-///
-/// `Send` so a whole controller can move to a shard thread during the
-/// channel-sharded advance ([`crate::shard`]); engines are plain data,
-/// never shared between threads.
-pub trait Scheduler: std::fmt::Debug + Send {
+pub trait Scheduler: std::fmt::Debug {
     /// Pass 1: whether request `a` should represent its bank over `b`.
     fn prefers(&self, a: QueueView, b: QueueView) -> bool;
 

@@ -188,10 +188,9 @@ const D8_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqC
 
 /// Files rule D8 covers: simulation-crate library code (telemetry
 /// included — collectors run inside the sim loop) plus the bench
-/// crate's library. The two sanctioned parallel sites — the sweep
-/// runner in `bench/src/sweep.rs` and the channel-shard advance in
-/// `dram/src/shard.rs` — carry in-place waivers with their proof
-/// obligations.
+/// crate's library. The one sanctioned parallel site — the sweep
+/// runner in `bench/src/sweep.rs` — carries in-place waivers with its
+/// proof obligation.
 fn d8_covers(f: &SourceFile) -> bool {
     f.class.is_sim_lib(true)
         || (f.class.kind == FileKind::Lib && f.class.crate_name.as_deref() == Some("bench"))
@@ -484,14 +483,13 @@ fn check_clock_ticking(f: &SourceFile, report: &mut Report) {
 }
 
 /// D8: shared mutable state and ad-hoc synchronization in sim/bench
-/// library code. ROADMAP item 2 shards per-channel simulation across
-/// threads; "parallel ≡ serial" stays provable only if the simulation
-/// itself is statically barred from `static mut`, `std::sync`
+/// library code. Sweeps run independent simulations on worker
+/// threads; "parallel ≡ serial" stays provable only if each
+/// simulation is statically barred from `static mut`, `std::sync`
 /// primitives, atomics with their memory orderings, and thread
-/// spawning. The sanctioned parallel sites — the sweep runner in
-/// `bench/src/sweep.rs` and the channel-shard advance in
-/// `dram/src/shard.rs` — carry in-place waivers tied to their
-/// sharded ≡ serial proofs.
+/// spawning. The one sanctioned parallel site — the sweep runner in
+/// `bench/src/sweep.rs` — carries in-place waivers tied to its
+/// parallel ≡ serial proof.
 fn check_concurrency(f: &SourceFile, report: &mut Report) {
     if !d8_covers(f) {
         return;
@@ -533,7 +531,7 @@ fn check_concurrency(f: &SourceFile, report: &mut Report) {
             ))
         } else if name == "rayon" || name == "crossbeam" {
             Some(format!(
-                "`{name}` introduces work-stealing parallelism; sharding must go through the sweep runner"
+                "`{name}` introduces work-stealing parallelism; parallelism must go through the sweep runner"
             ))
         } else if name == "thread" && tok_is(1, ":") && tok_is(2, ":") && tok_is(3, "spawn") {
             Some("`thread::spawn` in sim code; the sweep runner owns all threads".to_string())

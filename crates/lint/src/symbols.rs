@@ -9,11 +9,6 @@
 //! crate**, because two crates may legitimately define types with the
 //! same short name and a cross-crate edge would invent a relationship
 //! the compiler never sees.
-//!
-//! The graph is also the contract surface for ROADMAP item 2: when
-//! per-channel simulation shards across threads, the sharding plan is
-//! derived from (and checked against) this item graph, not from
-//! grepping source text.
 
 use std::collections::BTreeMap;
 

@@ -34,7 +34,6 @@ use gsdram_dram::controller::{
 };
 use gsdram_dram::energy::EnergyBreakdown;
 use gsdram_dram::mapping::AddressMap;
-use gsdram_dram::shard;
 use gsdram_telemetry::Histogram;
 
 use crate::config::{GatherSupport, SystemConfig};
@@ -428,19 +427,10 @@ impl DramBridge {
         true
     }
 
-    /// Advances every channel to `t_mem`. When `shard_ok` is set, no
-    /// observer is attached, and the span carries enough work to
-    /// amortise thread spawn, the channels advance on one thread each
-    /// ([`shard::advance_sharded`]); the serial loop runs otherwise.
-    /// Controllers are disjoint, so the two paths are bit-identical —
-    /// the shard gate is purely a wall-clock decision.
-    pub(crate) fn advance_all(&mut self, t_mem: u64, shard_ok: bool, events: &mut EventHub) {
-        if shard_ok && !events.is_attached() && shard::worth_sharding(&self.controllers, t_mem) {
-            shard::advance_sharded(&mut self.controllers, t_mem);
-        } else {
-            for c in &mut self.controllers {
-                c.advance_observed(t_mem, events);
-            }
+    /// Advances every channel to `t_mem`, one controller after another.
+    pub(crate) fn advance_all(&mut self, t_mem: u64, events: &mut EventHub) {
+        for c in &mut self.controllers {
+            c.advance_observed(t_mem, events);
         }
     }
 
@@ -647,13 +637,11 @@ impl Machine {
             self.bridge.leap_to(t_mem, &mut self.events);
             return;
         }
-        // Advance every channel to the horizon first — the controllers
-        // are independent, so this is where the sharded advance slots
-        // in — then drain and deliver per channel. Delivery can
-        // enqueue fresh writebacks; those land at or after `t_mem` and
-        // are processed by the next sync, on every path identically.
-        self.bridge
-            .advance_all(t_mem, self.cfg.shard, &mut self.events);
+        // Advance every channel to the horizon first, then drain and
+        // deliver per channel. Delivery can enqueue fresh writebacks;
+        // those land at or after `t_mem` and are processed by the next
+        // sync, on every path identically.
+        self.bridge.advance_all(t_mem, &mut self.events);
         let mut comps = std::mem::take(&mut self.comp_buf);
         for ch in 0..self.bridge.channels() {
             comps.clear();

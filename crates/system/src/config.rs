@@ -65,11 +65,6 @@ pub struct SystemConfig {
     /// XOR-stage preset of the physical-address map (Table 1 uses the
     /// direct map; the hash stages are ablation axes).
     pub mapping: MapHash,
-    /// Shard per-channel controller advance across threads when a sync
-    /// spans enough work (never while a trace observer is attached —
-    /// results are bit-identical either way, see
-    /// [`gsdram_dram::shard`]).
-    pub shard: bool,
 }
 
 impl SystemConfig {
@@ -90,7 +85,6 @@ impl SystemConfig {
             gather: GatherSupport::GsDram,
             channels: 1,
             mapping: MapHash::Direct,
-            shard: false,
         }
     }
 
@@ -140,13 +134,6 @@ impl SystemConfig {
     pub fn with_timing(mut self, pack: TimingPack) -> Self {
         self.controller.timing = pack.params();
         self.cpu_per_mem = pack.cpu_per_mem();
-        self
-    }
-
-    /// Enables the sharded per-channel advance (a pure wall-clock
-    /// optimisation; simulated results are unchanged).
-    pub fn with_shard(mut self) -> Self {
-        self.shard = true;
         self
     }
 

@@ -682,26 +682,3 @@ fn per_channel_stats_merge_exactly_to_totals() {
         "single-channel reports must stay channel-subtree-free"
     );
 }
-
-#[test]
-fn sharded_run_is_byte_identical_to_serial() {
-    use gsdram_core::stats::ReportStats;
-    let run = |shard: bool| {
-        let cfg = SystemConfig::table1(1, 8 << 20).with_channels(4);
-        let cfg = if shard { cfg.with_shard() } else { cfg };
-        let mut m = Machine::new(cfg);
-        let base = m.malloc(6 << 20);
-        let mut p = ScriptedProgram::new(channel_spread_ops(base));
-        let r = run_one(&mut m, &mut p);
-        m.drain_caches();
-        let image: Vec<u64> = (0..64).map(|t| m.peek(base + t * 8192)).collect();
-        (r.stats_node("run").to_json_pretty(), image)
-    };
-    let serial = run(false);
-    let sharded = run(true);
-    assert!(
-        serial.0 == sharded.0,
-        "sharded stats JSON drifted from serial"
-    );
-    assert_eq!(serial.1, sharded.1, "sharded memory image drifted");
-}

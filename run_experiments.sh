@@ -11,32 +11,12 @@ cd "$(dirname "$0")"
 R=results
 mkdir -p "$R"
 cargo build -q --release -p gsdram-cli
-EXPERIMENTS="
-fig7
-fig9
-fig10
-fig11
-fig12
-fig13
-ablation_shuffle
-ablation_patterns
-ablation_sectored
-ablation_scheduler
-ablation_sched
-ablation_mapping
-ablation_row_policy
-ablation_impulse
-extension_ecc
-extension_filter
-extension_transpose
-extras_kvstore_graph
-pattern_stride_sweep
-pattern_indirect
-scale_channels
-"
+sim() { cargo run -q --release -p gsdram-cli -- "$@"; }
+# The registry is the one list of experiments: `sweep --list` prints a
+# header line, then one name (and its title) per experiment.
+EXPERIMENTS=$(sim sweep --list | tail -n +2 | awk '{print $1}')
 for exp in $EXPERIMENTS; do
     echo "=== $exp ==="
-    cargo run -q --release -p gsdram-cli -- sweep "$exp" \
-        --json "$R/$exp.json" "$@" | tee "$R/$exp.txt"
+    sim sweep "$exp" --json "$R/$exp.json" "$@" | tee "$R/$exp.txt"
 done
 echo ALL_EXPERIMENTS_DONE

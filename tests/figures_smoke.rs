@@ -1,5 +1,5 @@
 //! Small-scale smoke tests asserting the *shape* of every paper figure
-//! (the full-scale numbers come from the `gsdram-bench` binaries; see
+//! (the full-scale numbers come from `gsdram-sim sweep <name>`; see
 //! EXPERIMENTS.md).
 
 use gsdram::system::config::SystemConfig;
