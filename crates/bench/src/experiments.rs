@@ -291,8 +291,10 @@ pub fn hist_summary(traces: &[(String, Telemetry)]) -> String {
     out
 }
 
-/// Writes `contents` to `path`, creating parent directories.
-fn write_output(path: &str, contents: &str) -> Result<(), String> {
+/// Writes `contents` to `path`, creating parent directories, and
+/// prints `wrote <path>` — the one output writer behind every
+/// `gsdram-sim` file flag (`--json`, `--trace-out`, `trace --out`).
+pub fn write_output(path: &str, contents: &str) -> Result<(), String> {
     if let Some(dir) = std::path::Path::new(path).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;

@@ -7,6 +7,10 @@
 //! [`RunOutcome`] whose [`StatsNode`] tree is a pure function of the
 //! spec — which is what lets the sweep runner execute specs on worker
 //! threads and still produce output bit-identical to a serial run.
+//! Every `gsdram-sim` subcommand that runs a generated workload goes
+//! through [`RunSpec::execute`] (or its recorded/traced variants).
+
+use std::io::Write;
 
 use gsdram_core::port::EventSink;
 use gsdram_core::stats::{ReportStats, StatsNode};
@@ -18,6 +22,7 @@ use gsdram_patterns::{Compiled, PatternLayout, PatternSpec};
 use gsdram_system::config::SystemConfig;
 use gsdram_system::machine::{Machine, RunReport, StopWhen};
 use gsdram_system::ops::Program;
+use gsdram_system::trace::TraceRecorder;
 use gsdram_telemetry::{Collector, Telemetry};
 use gsdram_workloads::filter::FilterQuery;
 use gsdram_workloads::gemm::{program as gemm_program, Gemm, GemmVariant};
@@ -488,8 +493,9 @@ pub struct RunOutcome {
     pub scale: f64,
     /// Simulated seconds ( `cpu_cycles / f_cpu`, unscaled).
     pub seconds: f64,
-    /// Workload-specific extra counters (matches, throughput, …).
-    extra: Vec<(String, f64)>,
+    /// Workload-specific extra counters (matches, throughput, …), in
+    /// insertion order.
+    pub extra: Vec<(String, f64)>,
 }
 
 impl RunOutcome {
@@ -543,9 +549,13 @@ fn create_table(m: &mut Machine, layout: Layout, tuples: u64, impulse: bool) -> 
     }
 }
 
-fn run_all(m: &mut Machine, p: &mut dyn Program) -> RunReport {
-    let mut programs: Vec<&mut dyn Program> = vec![p];
-    m.run(&mut programs, StopWhen::AllDone)
+/// Runs one program to completion, teeing its op stream into `record`
+/// (the [`TraceRecorder`] text format) when a writer is given.
+fn run_all(m: &mut Machine, p: &mut dyn Program, record: Option<&mut dyn Write>) -> RunReport {
+    match record {
+        Some(out) => m.run(&mut [&mut TraceRecorder::new(p, out)], StopWhen::AllDone),
+        None => m.run(&mut [p], StopWhen::AllDone),
+    }
 }
 
 impl RunSpec {
@@ -558,7 +568,19 @@ impl RunSpec {
     /// counts, transaction completion) is wrong — a simulator bug, not
     /// an experiment outcome.
     pub fn execute(&self) -> RunOutcome {
-        self.execute_inner(None)
+        self.execute_inner(None, None)
+    }
+
+    /// [`RunSpec::execute`], recording the workload's op stream to
+    /// `out` for `gsdram-sim replay`: one line per op, so `report.ops`
+    /// counts the lines. HTAP runs two programs and records nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`RunSpec::execute`], and if
+    /// writing to `out` fails.
+    pub fn execute_recorded(&self, out: &mut dyn Write) -> RunOutcome {
+        self.execute_inner(None, Some(out))
     }
 
     /// Executes the spec with a telemetry [`Collector`] attached,
@@ -575,11 +597,15 @@ impl RunSpec {
     /// Panics under the same conditions as [`RunSpec::execute`].
     pub fn execute_traced(&self, capacity: usize) -> (RunOutcome, Telemetry) {
         let collector = Collector::with_capacity(capacity);
-        let outcome = self.execute_inner(Some(collector.sink()));
+        let outcome = self.execute_inner(Some(collector.sink()), None);
         (outcome, collector.into_telemetry())
     }
 
-    fn execute_inner(&self, sink: Option<Box<dyn EventSink>>) -> RunOutcome {
+    fn execute_inner(
+        &self,
+        sink: Option<Box<dyn EventSink>>,
+        record: Option<&mut dyn Write>,
+    ) -> RunOutcome {
         let mut m = self.machine.build();
         if let Some(sink) = sink {
             m.attach_observer(sink);
@@ -597,7 +623,7 @@ impl RunSpec {
             } => {
                 let table = create_table(&mut m, *layout, *tuples, impulse);
                 let mut p = transactions(table, *spec, *txns, *seed);
-                let r = run_all(&mut m, &mut p);
+                let r = run_all(&mut m, &mut p, record);
                 assert_eq!(
                     r.progress[0], *txns,
                     "{}: all transactions must commit",
@@ -612,7 +638,7 @@ impl RunSpec {
             } => {
                 let table = create_table(&mut m, *layout, *tuples, impulse);
                 let mut p = analytics(table, columns);
-                let r = run_all(&mut m, &mut p);
+                let r = run_all(&mut m, &mut p, record);
                 let want = columns
                     .iter()
                     .fold(0u64, |a, &f| a.wrapping_add(table.expected_column_sum(f)));
@@ -644,7 +670,7 @@ impl RunSpec {
                 g.init(&mut m);
                 let (mut p, s) = gemm_program(g, *sample);
                 scale = s;
-                run_all(&mut m, &mut p)
+                run_all(&mut m, &mut p, record)
             }
             WorkloadSpec::Filter {
                 layout,
@@ -654,7 +680,7 @@ impl RunSpec {
             } => {
                 let table = create_table(&mut m, *layout, *tuples, impulse);
                 let mut q = FilterQuery::new(table, 0, *threshold);
-                let r = run_all(&mut m, &mut q);
+                let r = run_all(&mut m, &mut q, record);
                 if let Some(want) = expected_matches {
                     assert_eq!(q.matches(), *want, "{}: match count", self.id);
                 }
@@ -664,7 +690,7 @@ impl RunSpec {
             WorkloadSpec::Transpose { layout, n } => {
                 let t = Transpose::create(&mut m, *layout, *n);
                 let mut p = transpose_program(t);
-                run_all(&mut m, &mut p)
+                run_all(&mut m, &mut p, record)
             }
             WorkloadSpec::KvLookups {
                 layout,
@@ -675,7 +701,7 @@ impl RunSpec {
             } => {
                 let kv = KvStore::create(&mut m, *layout, *pairs);
                 let mut p = lookups(kv, *scan_len, *count, *seed);
-                run_all(&mut m, &mut p)
+                run_all(&mut m, &mut p, record)
             }
             WorkloadSpec::KvInserts {
                 layout,
@@ -685,7 +711,7 @@ impl RunSpec {
             } => {
                 let kv = KvStore::create(&mut m, *layout, *pairs);
                 let mut p = inserts(kv, *count, *seed);
-                let r = run_all(&mut m, &mut p);
+                let r = run_all(&mut m, &mut p, record);
                 assert_eq!(r.progress[0], *count, "{}: all inserts must land", self.id);
                 r
             }
@@ -696,7 +722,7 @@ impl RunSpec {
             } => {
                 let g = Graph::create(&mut m, *layout, *nodes);
                 let mut p = graph_scan(g, *field);
-                let r = run_all(&mut m, &mut p);
+                let r = run_all(&mut m, &mut p, record);
                 // Σ_v (8v + field): the scan sum is analytically known.
                 let n = *nodes;
                 let want = 8u64
@@ -713,7 +739,7 @@ impl RunSpec {
             } => {
                 let g = Graph::create(&mut m, *layout, *nodes);
                 let mut p = graph_updates(g, *count, *seed);
-                let r = run_all(&mut m, &mut p);
+                let r = run_all(&mut m, &mut p, record);
                 assert_eq!(r.progress[0], *count, "{}: all updates must land", self.id);
                 r
             }
@@ -721,7 +747,7 @@ impl RunSpec {
                 let c = Compiled::new(spec.clone());
                 let data = c.create(&mut m, *layout);
                 let mut p = c.program(*layout, data);
-                let r = run_all(&mut m, &mut p);
+                let r = run_all(&mut m, &mut p, record);
                 assert_eq!(
                     r.progress[0],
                     c.expected_units(),

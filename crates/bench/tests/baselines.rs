@@ -1,95 +1,75 @@
-//! Frozen-output and ablation acceptance tests for the pluggable DRAM
-//! back-end.
+//! Byte pins and ablation acceptance tests for the registry.
 //!
-//! The scheduler/refresh/write-drain extraction and the mapping
-//! component functions must not move a single byte of the frozen
-//! figure JSON under the default machine (FR-FCFS, direct bank map):
-//! `tests/baselines/*.json` were generated before the refactor, and
-//! the pin tests here re-run the same experiments in process and
-//! compare the pretty JSON byte-for-byte (CI also diffs the CLI
-//! output against the same files).
+//! Every committed file in `crates/bench/tests/baselines/` is the
+//! pretty stats JSON of one experiment at a small, fixed size. The pin
+//! test re-runs each experiment in process and compares byte-for-byte,
+//! so a figure number cannot move without a reviewed baseline diff
+//! (CI also diffs the `gsdram-sim sweep fig10` output against its file,
+//! covering the CLI's argument parsing and file writing).
+
+use std::path::Path;
 
 use gsdram_bench::args::Args;
 use gsdram_bench::experiments::{find, run_experiment};
 use gsdram_core::stats::StatsNode;
 
-/// `tuples`-sized fig9 JSON must match the committed pre-refactor
-/// baseline byte-for-byte.
+/// `(experiment, args, baseline file)`: fig9/fig10 pin the default
+/// machine across the DRAM back-end refactors; the pattern pair pins
+/// the stride sweep's speedup column (gains track the largest
+/// power-of-two factor of the stride, capped at 8) and the indirect
+/// collapse; scale_channels pins the multi-channel address
+/// decomposition.
+const PINS: &[(&str, &[&str], &str)] = &[
+    (
+        "fig9",
+        &["--txns", "200", "--tuples", "2048"],
+        "fig9_small.json",
+    ),
+    ("fig10", &["--tuples", "2048"], "fig10_small.json"),
+    (
+        "pattern_stride_sweep",
+        &["--accesses", "512"],
+        "pattern_stride_sweep_small.json",
+    ),
+    (
+        "pattern_indirect",
+        &["--accesses", "512", "--elements", "8192"],
+        "pattern_indirect_small.json",
+    ),
+    (
+        "scale_channels",
+        &["--tuples", "2048"],
+        "scale_channels_small.json",
+    ),
+];
+
 #[test]
-fn fig9_json_matches_pre_refactor_baseline() {
-    let def = find("fig9").expect("registered");
-    let args = Args::new(["--txns", "200", "--tuples", "2048"]);
-    let node = run_experiment(def, &args);
-    let want = include_str!("../../../tests/baselines/fig9_small.json");
+fn registry_json_matches_committed_baselines() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/baselines");
+    let mut drifted = Vec::new();
+    for &(name, argv, file) in PINS {
+        let def = find(name).unwrap_or_else(|| panic!("{name}: not registered"));
+        let node = run_experiment(def, &Args::new(argv.iter().copied()));
+        let want = std::fs::read_to_string(dir.join(file))
+            .unwrap_or_else(|e| panic!("read baseline {file}: {e}"));
+        if node.to_json_pretty() != want {
+            drifted.push(file);
+        }
+        if name == "scale_channels" {
+            assert_scale_channels_shape(&node);
+        }
+    }
     assert!(
-        node.to_json_pretty() == want,
-        "fig9 JSON drifted from tests/baselines/fig9_small.json"
+        drifted.is_empty(),
+        "JSON drifted from crates/bench/tests/baselines/: {drifted:?}"
     );
 }
 
-#[test]
-fn fig10_json_matches_pre_refactor_baseline() {
-    let def = find("fig10").expect("registered");
-    let args = Args::new(["--tuples", "2048"]);
-    let node = run_experiment(def, &args);
-    let want = include_str!("../../../tests/baselines/fig10_small.json");
-    assert!(
-        node.to_json_pretty() == want,
-        "fig10 JSON drifted from tests/baselines/fig10_small.json"
-    );
-}
-
-/// The pattern-engine experiments have their own committed baselines
-/// (under `crates/bench/tests/baselines/`, generated at the CI-smoke
-/// sizes): the stride sweep's speedup column IS the paper-extending
-/// claim — gains track the largest power-of-two
-/// factor of the stride, capped at 8 — so a byte must not move
-/// without a review diff (CI's pattern-smoke job diffs the CLI output
-/// against the same files).
-#[test]
-fn pattern_stride_sweep_json_matches_committed_baseline() {
-    let def = find("pattern_stride_sweep").expect("registered");
-    let args = Args::new(["--accesses", "512"]);
-    let node = run_experiment(def, &args);
-    let want = include_str!("baselines/pattern_stride_sweep_small.json");
-    assert!(
-        node.to_json_pretty() == want,
-        "pattern_stride_sweep JSON drifted from crates/bench/tests/baselines/pattern_stride_sweep_small.json"
-    );
-}
-
-#[test]
-fn pattern_indirect_json_matches_committed_baseline() {
-    let def = find("pattern_indirect").expect("registered");
-    let args = Args::new(["--accesses", "512", "--elements", "8192"]);
-    let node = run_experiment(def, &args);
-    let want = include_str!("baselines/pattern_indirect_small.json");
-    assert!(
-        node.to_json_pretty() == want,
-        "pattern_indirect JSON drifted from crates/bench/tests/baselines/pattern_indirect_small.json"
-    );
-}
-
-/// The multi-channel scaling experiment has its own committed baseline
-/// (generated at the CI-smoke size). Channel counts beyond one
-/// exercise the whole XOR-matrix mapping pipeline and the
-/// per-channel controller plumbing, so this pin is what freezes the
-/// multi-channel decomposition: a byte moving here means addresses
-/// started landing on different channels.
-#[test]
-fn scale_channels_json_matches_committed_baseline() {
-    let def = find("scale_channels").expect("registered");
-    let args = Args::new(["--tuples", "2048"]);
-    let node = run_experiment(def, &args);
-    let want = include_str!("baselines/scale_channels_small.json");
-    assert!(
-        node.to_json_pretty() == want,
-        "scale_channels JSON drifted from crates/bench/tests/baselines/scale_channels_small.json"
-    );
-    // The figure must actually separate the channel counts on the
-    // bandwidth-bound row store, and speedups must stay sane.
-    let ch1 = summary_child(&node, "ch1");
-    let ch4 = summary_child(&node, "ch4");
+/// The multi-channel figure must actually separate the channel counts
+/// on the bandwidth-bound row store, and speedups must stay sane.
+fn assert_scale_channels_shape(node: &StatsNode) {
+    let ch1 = summary_child(node, "ch1");
+    let ch4 = summary_child(node, "ch4");
     assert_eq!(ch1.gauge_at("row_speedup_vs_1ch"), Some(1.0));
     assert!(
         ch4.gauge_at("row_mcycles") < ch1.gauge_at("row_mcycles"),

@@ -11,12 +11,12 @@
 //! gsdram-sim pattern --list
 //!
 //! Workloads:
-//!   transactions   DB transactions (--layout, --txns, --mix r-w-rw)
-//!   analytics      DB column sums (--layout, --columns k)
+//!   transactions   DB transactions (--layout row|column|gs, --txns, --mix r-w-rw)
+//!   analytics      DB column sums (--layout row|column|gs, --columns k)
 //!   htap           analytics + endless transactions on two cores
-//!   gemm           matrix multiply (--variant, --n, --tile)
-//!   kvstore        key-value lookups/inserts (--layout plain|gs)
-//!   graph          node scans/updates (--layout plain|gs)
+//!   gemm           matrix multiply (--variant naive|tiled|simd|gs, --n, --tile)
+//!   kvstore        key-value lookups, then inserts (--layout plain|gs)
+//!   graph          node scan, then updates (--layout plain|gs)
 //!   replay         replay a trace (--file T [--alloc BYTES --pattern P])
 //!   pattern        compile and run a gsdram-patterns spec — a JSON
 //!                  file (see examples/patterns/), a builtin name, or
@@ -35,6 +35,9 @@
 //!                  --out PATH (default trace.json), --trace-cap N
 //!                  bounds the event ring, --hist prints histograms
 //!
+//! Every workload but replay runs through `RunSpec::execute`, as the
+//! registry does; kvstore and graph run each phase on a fresh machine.
+//!
 //! Common options:
 //!   --tuples N     table/node/pair count        (default 65536)
 //!   --prefetch     enable the stride prefetcher
@@ -49,38 +52,221 @@
 //!   --ranks N      DRAM ranks                   (default 1; 1,2,4,8,16)
 //!   --channels N   DRAM channels                (default 1; 1,2,4,8,16)
 //!   --seed N       workload RNG seed            (default 42)
-//!   --json PATH    write the run's stats tree as JSON
+//!   --json PATH    write the (last) run's stats tree as JSON
+//!   --record PATH  record the (last) run's op stream for replay
 //! ```
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 use gsdram_bench::args::Args;
-use gsdram_bench::experiments;
-use gsdram_bench::listing;
-use gsdram_bench::spec::{MachineSpec, RunSpec, WorkloadSpec};
+use gsdram_bench::experiments::{self, write_output};
+use gsdram_bench::listing::{self, Entry};
+use gsdram_bench::spec::{MachineSpec, RunOutcome, RunSpec, WorkloadSpec};
 use gsdram_core::stats::ReportStats;
+use gsdram_core::PatternId;
 use gsdram_patterns::{builtin, PatternLayout, PatternSpec, BUILTIN_NAMES};
 use gsdram_system::config::SystemConfig;
-use gsdram_system::machine::{Machine, RunReport, StopWhen};
+use gsdram_system::machine::{RunReport, StopWhen};
 use gsdram_system::ops::Program;
-use gsdram_system::trace::{TraceRecorder, TraceReplayer};
+use gsdram_system::trace::TraceReplayer;
 use gsdram_telemetry::{chrome_trace, Telemetry, DEFAULT_CAPACITY};
-use gsdram_workloads::gemm::{program as gemm_program, Gemm, GemmVariant};
-use gsdram_workloads::graph::{scan as graph_scan, updates as graph_updates, Graph, GraphLayout};
-use gsdram_workloads::imdb::{analytics, transactions, Layout, Table, TxnSpec};
-use gsdram_workloads::kvstore::{inserts, lookups, KvLayout, KvStore};
+use gsdram_workloads::gemm::GemmVariant;
+use gsdram_workloads::graph::GraphLayout;
+use gsdram_workloads::imdb::{Layout, TxnSpec};
+use gsdram_workloads::kvstore::KvLayout;
 
-fn db_layout(args: &Args) -> Layout {
-    match args.value("--layout").as_deref() {
-        Some("row") => Layout::RowStore,
-        Some("column") => Layout::ColumnStore,
-        _ => Layout::GsDram,
+/// Every subcommand, for the usage line and the unknown-name error.
+const SUBCOMMANDS: &str =
+    "transactions|analytics|htap|gemm|kvstore|graph|replay|pattern|sweep|trace";
+
+/// Default table/node/pair count (`--tuples`).
+const TUPLES: u64 = 65_536;
+
+/// The value of `flag` looked up in `choices`: `default` when the flag
+/// is absent, a did-you-mean error listing every choice when the value
+/// is not one of them.
+fn choose<T: Copy>(args: &Args, flag: &str, default: T, named: &[(&str, T)]) -> Result<T, String> {
+    let Some(given) = args.value(flag) else {
+        return Ok(default);
+    };
+    if let Some(&(_, v)) = named.iter().find(|(name, _)| *name == given) {
+        return Ok(v);
+    }
+    let names: Vec<Entry> = named.iter().map(|c| Entry::new(c.0, "")).collect();
+    Err(listing::unknown(flag, &given, "accepted values", &names))
+}
+
+/// `--layout` for the §5.1 database workloads.
+fn db_layout(args: &Args) -> Result<Layout, String> {
+    choose(
+        args,
+        "--layout",
+        Layout::GsDram,
+        &[
+            ("row", Layout::RowStore),
+            ("column", Layout::ColumnStore),
+            ("gs", Layout::GsDram),
+        ],
+    )
+}
+
+/// `--mix r-w-rw`: three field counts summing to at most 8.
+fn txn_mix(args: &Args) -> Result<TxnSpec, String> {
+    let mix = args.value("--mix").unwrap_or_else(|| "1-0-1".into());
+    let parts: Result<Vec<usize>, _> = mix.split('-').map(str::parse).collect();
+    match parts.as_deref() {
+        // Bound each part first so the sum cannot overflow.
+        Ok(&[r, w, rw]) if r.max(w).max(rw) <= 8 && r + w + rw <= 8 => Ok(TxnSpec {
+            read_only: r,
+            write_only: w,
+            read_write: rw,
+        }),
+        _ => {
+            let entries: Vec<Entry> = TxnSpec::FIGURE9
+                .iter()
+                .map(|s| Entry::new(s.label(), ""))
+                .collect();
+            Err(listing::unknown(
+                "--mix",
+                &mix,
+                "Figure 9 mixes (any r-w-rw with at most 8 fields works)",
+                &entries,
+            ))
+        }
     }
 }
 
-fn print_report(name: &str, r: &RunReport, cfg: &SystemConfig) {
+/// The machine every workload subcommand starts from: Table 1 plus
+/// the shared machine flags, sized at two bytes of memory per table
+/// byte (`--tuples` 64-byte tuples), at least 16 MiB.
+fn cli_machine(args: &Args) -> Result<MachineSpec, String> {
+    let mem = (args.usize("--tuples", TUPLES as usize) * 128).max(16 << 20);
+    MachineSpec::table1(1, mem).with_args(args)
+}
+
+/// Maps a workload subcommand and its flags to the specs it runs — the
+/// CLI's one link to the workload generators. kvstore and graph are
+/// two specs each, and every spec runs on a fresh machine, as in
+/// `extras_kvstore_graph`.
+fn single_run_specs(name: &str, args: &Args) -> Result<Vec<RunSpec>, String> {
+    let machine = cli_machine(args)?;
+    let tuples = args.u64("--tuples", TUPLES);
+    let seed = args.u64("--seed", 42);
+    let spec = |workload: WorkloadSpec| RunSpec {
+        id: name.to_owned(),
+        machine: machine.clone(),
+        workload,
+    };
+    let specs = match name {
+        "transactions" => vec![spec(WorkloadSpec::Transactions {
+            layout: db_layout(args)?,
+            spec: txn_mix(args)?,
+            tuples,
+            txns: args.u64("--txns", 10_000),
+            seed,
+        })],
+        "analytics" => vec![spec(WorkloadSpec::Analytics {
+            layout: db_layout(args)?,
+            tuples,
+            columns: (0..args.usize("--columns", 1).min(8)).collect(),
+        })],
+        "htap" => {
+            if args.value("--record").is_some() {
+                return Err("--record traces one program; htap runs two".into());
+            }
+            let mut s = spec(WorkloadSpec::Htap {
+                layout: db_layout(args)?,
+                tuples,
+                spec: TxnSpec {
+                    read_only: 1,
+                    write_only: 1,
+                    read_write: 0,
+                },
+                seed,
+            });
+            s.machine.cores = 2;
+            vec![s]
+        }
+        "gemm" => {
+            let n = args.usize("--n", 128);
+            let tile = args.usize("--tile", 32);
+            let variant = choose(
+                args,
+                "--variant",
+                GemmVariant::GsDram { tile },
+                &[
+                    ("naive", GemmVariant::Naive),
+                    ("tiled", GemmVariant::Tiled { tile }),
+                    ("simd", GemmVariant::TiledSimd { tile }),
+                    ("gs", GemmVariant::GsDram { tile }),
+                ],
+            )?;
+            let mut s = spec(WorkloadSpec::Gemm {
+                n,
+                variant,
+                sample: None,
+            });
+            s.machine.mem_bytes = (3 * n * n * 16).max(16 << 20);
+            vec![s]
+        }
+        "kvstore" => {
+            let layout = choose(
+                args,
+                "--layout",
+                KvLayout::GsDram,
+                &[("plain", KvLayout::Interleaved), ("gs", KvLayout::GsDram)],
+            )?;
+            vec![
+                spec(WorkloadSpec::KvLookups {
+                    layout,
+                    pairs: tuples,
+                    scan_len: tuples / 2,
+                    count: args.u64("--lookups", 64),
+                    seed,
+                }),
+                spec(WorkloadSpec::KvInserts {
+                    layout,
+                    pairs: tuples,
+                    count: args.u64("--inserts", 2000),
+                    seed,
+                }),
+            ]
+        }
+        "graph" => {
+            let layout = choose(
+                args,
+                "--layout",
+                GraphLayout::GsDram,
+                &[
+                    ("plain", GraphLayout::NodeMajor),
+                    ("gs", GraphLayout::GsDram),
+                ],
+            )?;
+            vec![
+                spec(WorkloadSpec::GraphScan {
+                    layout,
+                    nodes: tuples,
+                    field: 0,
+                }),
+                spec(WorkloadSpec::GraphUpdates {
+                    layout,
+                    nodes: tuples,
+                    count: args.u64("--updates", 2000),
+                    seed,
+                }),
+            ]
+        }
+        other => {
+            let names: Vec<Entry> = SUBCOMMANDS.split('|').map(|n| Entry::new(n, "")).collect();
+            return Err(listing::unknown("subcommand", other, "subcommands", &names));
+        }
+    };
+    Ok(specs)
+}
+
+fn print_report(name: &str, r: &RunReport, cfg: &SystemConfig, extras: &[(String, f64)]) {
     println!("== {name} ==");
     println!(
         "cycles            {:>14}  ({:.3} ms at {} GHz)",
@@ -117,109 +303,103 @@ fn print_report(name: &str, r: &RunReport, cfg: &SystemConfig) {
     );
     println!("progress          {:?}", r.progress);
     println!("results           {:?}", r.results);
-}
-
-/// Writes the report's stats tree to `--json <path>` when requested.
-fn maybe_write_json(args: &Args, name: &str, r: &RunReport) -> Result<(), String> {
-    let Some(path) = args.value("--json") else {
-        return Ok(());
-    };
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-        }
+    for (k, v) in extras {
+        println!("{k:<17} {v:>14.2}");
     }
-    let node = r.stats_node(name);
-    std::fs::write(&path, node.to_json_pretty()).map_err(|e| format!("write {path}: {e}"))?;
-    println!("wrote {path}");
-    Ok(())
 }
 
-/// Runs a single program, optionally teeing its op stream into the
-/// file given by `--record`.
-fn run_single(args: &Args, m: &mut Machine, p: &mut dyn Program) -> RunReport {
-    if let Some(path) = args.value("--record") {
-        let out = BufWriter::new(File::create(&path).expect("create trace file"));
-        let mut rec = TraceRecorder::new(Forward(p), out);
-        let r = {
-            let mut programs: Vec<&mut dyn Program> = vec![&mut rec];
-            m.run(&mut programs, StopWhen::AllDone)
+/// Writes `r`'s stats tree, named `name`, to `--json <path>` when
+/// requested.
+fn write_json(args: &Args, name: &str, r: &RunReport) -> Result<(), String> {
+    match args.value("--json") {
+        Some(path) => write_output(&path, &r.stats_node(name).to_json_pretty()),
+        None => Ok(()),
+    }
+}
+
+/// Executes `specs` in order and prints each outcome. `--record PATH`
+/// tees each run's op stream into PATH, and `--json PATH` writes the
+/// report tree of the last run, named `name`; for two-part workloads
+/// both files therefore hold the second part.
+fn run_specs(args: &Args, name: &str, specs: &[RunSpec]) -> Result<Vec<RunOutcome>, String> {
+    let record = args.value("--record");
+    let mut outcomes = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let o = match &record {
+            Some(path) => {
+                let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+                let mut out = BufWriter::new(file);
+                let o = spec.execute_recorded(&mut out);
+                out.flush().map_err(|e| format!("write {path}: {e}"))?;
+                eprintln!("recorded {} ops to {path}", o.report.ops);
+                o
+            }
+            None => spec.execute(),
         };
-        eprintln!("recorded {} ops to {path}", rec.ops_written());
-        return r;
+        print_report(
+            &o.spec.workload.describe(),
+            &o.report,
+            &o.spec.machine.config(),
+            &o.extra,
+        );
+        outcomes.push(o);
     }
-    let mut programs: Vec<&mut dyn Program> = vec![p];
-    m.run(&mut programs, StopWhen::AllDone)
+    if let Some(last) = outcomes.last() {
+        write_json(args, name, &last.report)?;
+    }
+    Ok(outcomes)
 }
 
-/// Adapter: a `&mut dyn Program` as an owned `Program`.
-struct Forward<'a>(&'a mut dyn Program);
-
-impl Program for Forward<'_> {
-    fn next_op(&mut self) -> Option<gsdram_system::Op> {
-        self.0.next_op()
-    }
-    fn on_load_value(&mut self, v: u64) {
-        self.0.on_load_value(v);
-    }
-    fn progress(&self) -> u64 {
-        self.0.progress()
-    }
-    fn result(&self) -> u64 {
-        self.0.result()
-    }
+/// `gsdram-sim replay --file T`: plays back a trace recorded with
+/// `--record`. The one subcommand with no generator, so it builds its
+/// machine by hand, and it must be given the allocation the recording
+/// run had: `--alloc BYTES [--pattern P]` recreates one pattmalloc
+/// region at the deterministic base address.
+fn replay(args: &Args) -> Result<(), String> {
+    let path = args.value("--file").ok_or("replay needs --file <trace>")?;
+    let file = File::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let mut m = cli_machine(args)?.build();
+    let alloc = args.u64("--alloc", args.u64("--tuples", TUPLES) * 64);
+    m.pattmalloc(alloc, true, PatternId(args.u64("--pattern", 7) as u8));
+    let mut p = TraceReplayer::new(BufReader::new(file));
+    let r = m.run(&mut [&mut p as &mut dyn Program], StopWhen::AllDone);
+    let name = format!("replay {path} ({} ops)", p.ops_replayed());
+    print_report(&name, &r, m.config(), &[]);
+    write_json(args, "replay", &r)
 }
 
-fn sweep(args: &Args) -> ExitCode {
+fn sweep(args: &Args) -> Result<(), String> {
     if args.flag("--list") {
         println!("registered experiments:");
         for def in experiments::REGISTRY {
             println!("  {:<22} {}", def.name, def.title);
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     // `sweep` is the first positional; the experiment name is the next.
-    let Some(name) = args.positional_at(1).map(str::to_owned) else {
-        eprintln!("usage: gsdram-sim sweep <experiment> [--serial] [--threads N] [--json PATH]");
-        eprintln!("       gsdram-sim sweep [--trace-out PATH] [--hist] ...");
-        eprintln!("       gsdram-sim sweep --list");
-        return ExitCode::FAILURE;
-    };
-    match experiments::run_named(&name, args) {
-        Ok(_) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let name = args.positional_at(1).ok_or(
+        "usage: gsdram-sim sweep <experiment> [--serial] [--threads N] [--json PATH]\n       \
+         gsdram-sim sweep [--trace-out PATH] [--hist] ...\n       \
+         gsdram-sim sweep --list",
+    )?;
+    experiments::run_named(name, args).map(drop)
 }
 
 /// `gsdram-sim trace <experiment>`: execute an experiment's specs with
 /// a telemetry collector attached and export a Chrome trace-event
 /// JSON. Runs serially — traces are about *where* time goes inside one
 /// run, not sweep throughput.
-fn trace(args: &Args) -> ExitCode {
-    let usage = || {
-        eprintln!(
-            "usage: gsdram-sim trace <experiment> [--run SUBSTR | --all] \
-             [--out PATH] [--hist] [--trace-cap N]"
-        );
-        ExitCode::FAILURE
-    };
-    let Some(name) = args.positional_at(1).map(str::to_owned) else {
-        return usage();
-    };
-    let def = match experiments::resolve(&name) {
-        Ok(def) => def,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn trace(args: &Args) -> Result<(), String> {
+    let name = args.positional_at(1).ok_or(
+        "usage: gsdram-sim trace <experiment> [--run SUBSTR | --all] \
+         [--out PATH] [--hist] [--trace-cap N]",
+    )?;
+    let def = experiments::resolve(name)?;
     let specs = (def.specs)(args);
     if specs.is_empty() {
-        eprintln!("error: experiment '{name}' is purely analytic — no runs to trace");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "experiment '{name}' is purely analytic — no runs to trace"
+        ));
     }
     let selected: Vec<&RunSpec> = if args.flag("--all") {
         specs.iter().collect()
@@ -229,11 +409,8 @@ fn trace(args: &Args) -> ExitCode {
         vec![&specs[0]]
     };
     if selected.is_empty() {
-        eprintln!("error: --run matched none of:");
-        for s in &specs {
-            eprintln!("  {}", s.id);
-        }
-        return ExitCode::FAILURE;
+        let ids: Vec<&str> = specs.iter().map(|s| s.id.as_str()).collect();
+        return Err(format!("--run matched none of:\n  {}", ids.join("\n  ")));
     }
     let capacity = args.usize("--trace-cap", DEFAULT_CAPACITY);
     let mut traces: Vec<(String, Telemetry)> = Vec::new();
@@ -254,31 +431,17 @@ fn trace(args: &Args) -> ExitCode {
     }
     let out = args.value("--out").unwrap_or_else(|| "trace.json".into());
     let named: Vec<(String, &Telemetry)> = traces.iter().map(|(id, t)| (id.clone(), t)).collect();
-    let json = chrome_trace(&named);
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("error: mkdir {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out} ({} bytes)", json.len());
-    ExitCode::SUCCESS
+    write_output(&out, &chrome_trace(&named))
 }
 
 /// Every way to name a pattern spec, for `--list` and the not-found
 /// error: the builtins plus any `examples/patterns/*.json` next to the
 /// invocation directory — rendered by the same [`listing`] module as
 /// `experiments::resolve`.
-fn pattern_entries() -> Vec<listing::Entry> {
-    let mut entries: Vec<listing::Entry> = BUILTIN_NAMES
+fn pattern_entries() -> Vec<Entry> {
+    let mut entries: Vec<Entry> = BUILTIN_NAMES
         .iter()
-        .map(|name| listing::Entry::new(*name, "builtin"))
+        .map(|name| Entry::new(*name, "builtin"))
         .collect();
     let mut files: Vec<std::path::PathBuf> = std::fs::read_dir("examples/patterns")
         .into_iter()
@@ -291,7 +454,7 @@ fn pattern_entries() -> Vec<listing::Entry> {
     entries.extend(
         files
             .iter()
-            .map(|f| listing::Entry::new(f.display().to_string(), "")),
+            .map(|f| Entry::new(f.display().to_string(), "")),
     );
     entries
 }
@@ -323,297 +486,79 @@ fn load_pattern_spec(arg: &str) -> Result<PatternSpec, String> {
 /// `gsdram-sim pattern <file|name>`: compile a spec and run it end to
 /// end — both layouts by default, so the row-vs-GS-DRAM comparison is
 /// one command.
-fn pattern_cmd(args: &Args) -> ExitCode {
+fn pattern_cmd(args: &Args) -> Result<(), String> {
     if args.flag("--list") {
         println!("{}", pattern_listing());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     let arg = args
         .value("--pattern-file")
         .or_else(|| args.value("--pattern"))
-        .or_else(|| args.positional_at(1).map(str::to_owned));
-    let Some(arg) = arg else {
-        eprintln!("usage: gsdram-sim pattern <file.json|builtin> [--layout row|gs-dram]");
-        eprintln!("       gsdram-sim pattern --list");
-        eprintln!("{}", pattern_listing());
-        return ExitCode::FAILURE;
-    };
-    let spec = match load_pattern_spec(&arg) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let layouts: Vec<PatternLayout> = match args.value("--layout") {
-        Some(s) => match PatternLayout::parse(&s) {
-            Some(l) => vec![l],
-            None => {
-                eprintln!("error: unknown --layout '{s}' (try row, gs-dram)");
-                return ExitCode::FAILURE;
-            }
-        },
+        .or_else(|| args.positional_at(1).map(str::to_owned))
+        .ok_or_else(|| {
+            format!(
+                "usage: gsdram-sim pattern <file.json|builtin> [--layout row|gs-dram]\n       \
+                 gsdram-sim pattern --list\n{}",
+                pattern_listing()
+            )
+        })?;
+    let spec = load_pattern_spec(&arg)?;
+    let layouts = match args.value("--layout") {
+        Some(_) => vec![choose(
+            args,
+            "--layout",
+            PatternLayout::GsDram,
+            &[
+                ("row", PatternLayout::Row),
+                ("gs-dram", PatternLayout::GsDram),
+                ("gs", PatternLayout::GsDram),
+            ],
+        )?],
         None => vec![PatternLayout::Row, PatternLayout::GsDram],
     };
-    let machine = match MachineSpec::table1(1, spec.mem_bytes_hint()).with_args(args) {
-        Ok(ms) => ms,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut cycles: Vec<(PatternLayout, u64)> = Vec::new();
-    for layout in layouts {
-        let rs = RunSpec {
+    let machine = MachineSpec::table1(1, spec.mem_bytes_hint()).with_args(args)?;
+    let specs: Vec<RunSpec> = layouts
+        .into_iter()
+        .map(|layout| RunSpec {
             id: format!("pattern/{}/{}", spec.name, layout.label()),
             machine: machine.clone(),
             workload: WorkloadSpec::Pattern {
                 spec: spec.clone(),
                 layout,
             },
-        };
-        let cfg = rs.machine.config();
-        let o = rs.execute();
-        print_report(
-            &format!("pattern {} layout={}", spec.describe(), layout.label()),
-            &o.report,
-            &cfg,
-        );
-        if let Err(e) = maybe_write_json(args, "pattern", &o.report) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-        cycles.push((layout, o.report.cpu_cycles));
-    }
-    if let [(_, row), (_, gs)] = cycles.as_slice() {
+        })
+        .collect();
+    if let [row, gs] = run_specs(args, "pattern", &specs)?.as_slice() {
+        let (row, gs) = (row.report.cpu_cycles, gs.report.cpu_cycles);
         println!(
-            "speedup           {:>14.3}  (row {} / gs-dram {} cycles)",
-            *row as f64 / *gs as f64,
-            row,
-            gs
+            "speedup           {:>14.3}  (row {row} / gs-dram {gs} cycles)",
+            row as f64 / gs as f64
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args = Args::from_env();
-    let Some(workload) = args.positional().map(str::to_owned) else {
-        eprintln!(
-            "usage: gsdram-sim <transactions|analytics|htap|gemm|kvstore|graph|replay|pattern|sweep|trace> [options]"
-        );
+    let Some(cmd) = args.positional().map(str::to_owned) else {
+        eprintln!("usage: gsdram-sim <{SUBCOMMANDS}> [options]");
         eprintln!("run with a workload name; see crate docs for options");
         return ExitCode::FAILURE;
     };
-    if workload == "sweep" {
-        return sweep(&args);
-    }
-    if workload == "trace" {
-        return trace(&args);
-    }
-    if workload == "pattern" {
-        return pattern_cmd(&args);
-    }
-    let tuples = args.u64("--tuples", 65_536);
-    let seed = args.u64("--seed", 42);
-    let mem = (tuples as usize * 64 * 2).max(16 << 20);
-    // The one machine-flag parser shared with the experiment engine
-    // (--prefetch, --impulse, --fcfs, --sched, --mapping, --timing,
-    // --closed-row, --ranks, --channels). Parsed once up
-    // front so a bad flag fails before any workload builds memory;
-    // each workload then patches in its core count and memory size.
-    let parsed = match MachineSpec::table1(1, mem).with_args(&args) {
-        Ok(ms) => ms,
+    let result = match cmd.as_str() {
+        "sweep" => sweep(&args),
+        "trace" => trace(&args),
+        "pattern" => pattern_cmd(&args),
+        "replay" => replay(&args),
+        workload => single_run_specs(workload, &args)
+            .and_then(|specs| run_specs(&args, workload, &specs))
+            .map(drop),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let machine = |cores: usize, mem: usize| {
-        let mut ms = parsed.clone();
-        ms.cores = cores;
-        ms.mem_bytes = mem;
-        ms
-    };
-
-    match workload.as_str() {
-        "transactions" => {
-            let mix = args.value("--mix").unwrap_or_else(|| "1-0-1".into());
-            let parts: Vec<usize> = mix.split('-').filter_map(|x| x.parse().ok()).collect();
-            if parts.len() != 3 || parts.iter().sum::<usize>() > 8 {
-                eprintln!("--mix must be r-w-rw with at most 8 total fields");
-                return ExitCode::FAILURE;
-            }
-            let spec = TxnSpec {
-                read_only: parts[0],
-                write_only: parts[1],
-                read_write: parts[2],
-            };
-            let mut m = machine(1, mem).build();
-            let table = Table::create(&mut m, db_layout(&args), tuples);
-            let mut p = transactions(table, spec, args.u64("--txns", 10_000), seed);
-            let r = run_single(&args, &mut m, &mut p);
-            let name = format!("transactions {} {}", db_layout(&args).label(), spec.label());
-            print_report(&name, &r, m.config());
-            if let Err(e) = maybe_write_json(&args, "transactions", &r) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "analytics" => {
-            let k = args.u64("--columns", 1) as usize;
-            let columns: Vec<usize> = (0..k.min(8)).collect();
-            let mut m = machine(1, mem).build();
-            let table = Table::create(&mut m, db_layout(&args), tuples);
-            let mut p = analytics(table, &columns);
-            let r = run_single(&args, &mut m, &mut p);
-            let want: u64 = columns
-                .iter()
-                .fold(0u64, |a, &f| a.wrapping_add(table.expected_column_sum(f)));
-            assert_eq!(r.results[0], want, "column sum mismatch — simulator bug");
-            print_report(
-                &format!("analytics {} k={k}", db_layout(&args).label()),
-                &r,
-                m.config(),
-            );
-            if let Err(e) = maybe_write_json(&args, "analytics", &r) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "htap" => {
-            let mut m = machine(2, mem).build();
-            let table = Table::create(&mut m, db_layout(&args), tuples);
-            let mut anal = analytics(table, &[0]);
-            let spec = TxnSpec {
-                read_only: 1,
-                write_only: 1,
-                read_write: 0,
-            };
-            let mut txn = transactions(table, spec, u64::MAX, seed);
-            let r = {
-                let mut programs: Vec<&mut dyn Program> = vec![&mut anal, &mut txn];
-                m.run(&mut programs, StopWhen::CoreDone(0))
-            };
-            let thr = r.progress[1] as f64 / r.seconds(m.config()) / 1e6;
-            print_report(
-                &format!("htap {}", db_layout(&args).label()),
-                &r,
-                m.config(),
-            );
-            println!("txn throughput    {thr:>14.2} M/s");
-            if let Err(e) = maybe_write_json(&args, "htap", &r) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "gemm" => {
-            let n = args.u64("--n", 128) as usize;
-            let tile = args.u64("--tile", 32) as usize;
-            let variant = match args.value("--variant").as_deref() {
-                Some("naive") => GemmVariant::Naive,
-                Some("tiled") => GemmVariant::Tiled { tile },
-                Some("simd") => GemmVariant::TiledSimd { tile },
-                _ => GemmVariant::GsDram { tile },
-            };
-            let mem = (3 * n * n * 8 * 2).max(16 << 20);
-            let mut m = machine(1, mem).build();
-            let g = Gemm::create(&mut m, n, variant);
-            g.init(&mut m);
-            let (mut p, scale) = gemm_program(g, None);
-            let r = run_single(&args, &mut m, &mut p);
-            print_report(&format!("gemm {} n={n}", variant.label()), &r, m.config());
-            if scale != 1.0 {
-                println!("(sampled; scale {scale})");
-            }
-            if let Err(e) = maybe_write_json(&args, "gemm", &r) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "kvstore" => {
-            let layout = match args.value("--layout").as_deref() {
-                Some("plain") => KvLayout::Interleaved,
-                _ => KvLayout::GsDram,
-            };
-            let mut m = machine(1, mem).build();
-            let kv = KvStore::create(&mut m, layout, tuples);
-            let mut p = lookups(kv, tuples / 2, args.u64("--lookups", 64), seed);
-            let r = run_single(&args, &mut m, &mut p);
-            print_report(
-                &format!("kvstore lookups {}", layout.label()),
-                &r,
-                m.config(),
-            );
-            let mut p = inserts(kv, args.u64("--inserts", 2000), seed);
-            let r = run_single(&args, &mut m, &mut p);
-            print_report(
-                &format!("kvstore inserts {}", layout.label()),
-                &r,
-                m.config(),
-            );
-            if let Err(e) = maybe_write_json(&args, "kvstore", &r) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "replay" => {
-            // Replay a trace recorded with --record. The machine must be
-            // given the same allocation the recording run had:
-            // --alloc BYTES [--pattern P] recreates one pattmalloc
-            // region at the deterministic base address.
-            let Some(path) = args.value("--file") else {
-                eprintln!("replay needs --file <trace>");
-                return ExitCode::FAILURE;
-            };
-            let mut m = machine(1, mem).build();
-            let alloc = args.u64("--alloc", tuples * 64);
-            let pattern = gsdram_core::PatternId(args.u64("--pattern", 7) as u8);
-            m.pattmalloc(alloc, true, pattern);
-            let file = BufReader::new(match File::open(&path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot open {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            });
-            let mut p = TraceReplayer::new(file);
-            let r = {
-                let mut programs: Vec<&mut dyn Program> = vec![&mut p];
-                m.run(&mut programs, StopWhen::AllDone)
-            };
-            print_report(
-                &format!("replay {path} ({} ops)", p.ops_replayed()),
-                &r,
-                m.config(),
-            );
-            if let Err(e) = maybe_write_json(&args, "replay", &r) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "graph" => {
-            let layout = match args.value("--layout").as_deref() {
-                Some("plain") => GraphLayout::NodeMajor,
-                _ => GraphLayout::GsDram,
-            };
-            let mut m = machine(1, mem).build();
-            let g = Graph::create(&mut m, layout, tuples);
-            let mut p = graph_scan(g, 0);
-            let r = run_single(&args, &mut m, &mut p);
-            print_report(&format!("graph scan {}", layout.label()), &r, m.config());
-            let mut p = graph_updates(g, args.u64("--updates", 2000), seed);
-            let r = run_single(&args, &mut m, &mut p);
-            print_report(&format!("graph updates {}", layout.label()), &r, m.config());
-            if let Err(e) = maybe_write_json(&args, "graph", &r) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        other => {
-            eprintln!("unknown workload '{other}'");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

@@ -808,15 +808,10 @@ impl MemController {
     /// Advances just far enough that at least one completion exists,
     /// issuing commands at their exact legal times (the clock never
     /// overshoots the last issued command, so subsequently arriving
-    /// requests are not penalised). Returns the earliest completion
-    /// time, or `None` if no pending work can ever complete.
-    pub fn advance_until_completion(&mut self) -> Option<Cycles> {
-        self.advance_until_completion_observed(&mut EventHub::new())
-    }
-
-    /// [`advance_until_completion`](Self::advance_until_completion),
-    /// emitting [`SimEvent`]s to `events`.
-    pub fn advance_until_completion_observed(&mut self, events: &mut EventHub) -> Option<Cycles> {
+    /// requests are not penalised), emitting [`SimEvent`]s to `events`.
+    /// Returns the earliest completion time, or `None` if no pending
+    /// work can ever complete.
+    pub fn advance_until_completion(&mut self, events: &mut EventHub) -> Option<Cycles> {
         loop {
             if let Some(t) = self.peek_completion() {
                 return Some(t);
@@ -1333,7 +1328,10 @@ mod tests {
             assert!(guard < 10_000, "next_event walk failed to converge");
         }
         let mut expect = Vec::new();
-        while twin.advance_until_completion().is_some() {
+        while twin
+            .advance_until_completion(&mut EventHub::new())
+            .is_some()
+        {
             twin.take_completions_into(Cycles::MAX, &mut expect);
         }
         let walked = c.take_completions(Cycles::MAX);

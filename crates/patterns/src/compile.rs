@@ -45,15 +45,6 @@ impl PatternLayout {
             PatternLayout::GsDram => "gs-dram",
         }
     }
-
-    /// Parses a label (`row`, `gs-dram`, or the shorthand `gs`).
-    pub fn parse(s: &str) -> Option<PatternLayout> {
-        match s {
-            "row" => Some(PatternLayout::Row),
-            "gs-dram" | "gs" => Some(PatternLayout::GsDram),
-            _ => None,
-        }
-    }
 }
 
 /// Base addresses of a created pattern dataset.

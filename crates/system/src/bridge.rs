@@ -483,7 +483,7 @@ impl DramBridge {
         ch: usize,
         events: &mut EventHub,
     ) -> Option<u64> {
-        self.controllers[ch].advance_until_completion_observed(events)
+        self.controllers[ch].advance_until_completion(events)
     }
 
     /// Records one controller completion. Returns the finished logical

@@ -75,6 +75,27 @@ pub trait Program {
     }
 }
 
+/// A borrowed program is a program, so wrappers that own their inner
+/// program (e.g. [`TraceRecorder`](crate::trace::TraceRecorder)) can
+/// also wrap a `&mut dyn Program`.
+impl<P: Program + ?Sized> Program for &mut P {
+    fn next_op(&mut self) -> Option<Op> {
+        (**self).next_op()
+    }
+
+    fn on_load_value(&mut self, value: u64) {
+        (**self).on_load_value(value);
+    }
+
+    fn progress(&self) -> u64 {
+        (**self).progress()
+    }
+
+    fn result(&self) -> u64 {
+        (**self).result()
+    }
+}
+
 /// A program built from a fixed op vector (testing convenience).
 #[derive(Debug, Clone)]
 pub struct ScriptedProgram {
