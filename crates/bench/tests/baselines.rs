@@ -18,7 +18,10 @@ use gsdram_core::stats::StatsNode;
 /// the stride sweep's speedup column (gains track the largest
 /// power-of-two factor of the stride, capped at 8) and the indirect
 /// collapse; scale_channels pins the multi-channel address
-/// decomposition.
+/// decomposition. fig7 pins the module's per-chip view; fig11 pins
+/// HTAP stores, overlap flushes and deep queues; ablation_impulse pins
+/// Impulse's multi-sub-request gathers, the one line path that reads
+/// through word addresses.
 const PINS: &[(&str, &[&str], &str)] = &[
     (
         "fig9",
@@ -40,6 +43,13 @@ const PINS: &[(&str, &[&str], &str)] = &[
         "scale_channels",
         &["--tuples", "2048"],
         "scale_channels_small.json",
+    ),
+    ("fig7", &[], "fig7_small.json"),
+    ("fig11", &["--tuples", "2048"], "fig11_small.json"),
+    (
+        "ablation_impulse",
+        &["--tuples", "2048"],
+        "ablation_impulse_small.json",
     ),
 ];
 
