@@ -46,10 +46,12 @@ fn bench_overlap(r: &Runner) {
 
 fn bench_prefetcher(r: &Runner) {
     let mut p = StridePrefetcher::degree4();
+    let mut out = Vec::new();
     let mut addr = 0u64;
     r.bench("stride prefetcher observe", || {
         addr += 64;
-        black_box(p.observe(0x400, addr));
+        p.observe_into(0x400, addr, &mut out);
+        black_box(&out);
     });
 }
 

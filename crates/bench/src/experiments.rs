@@ -406,7 +406,7 @@ fn fig7_render(_args: &Args, _outs: &[RunOutcome]) -> StatsNode {
     let mut figure6 = StatsNode::new("figure6").text("chips", "chip0 chip1 chip2 chip3");
     for col in 0..4u32 {
         let row: Vec<String> = (0..4)
-            .map(|chip| m.chip_words(chip)[col as usize].to_string())
+            .map(|chip| m.chip_word(chip, RowId(0), ColumnId(col)).to_string())
             .collect();
         figure6 = figure6.text(format!("col{col}"), row.join(" "));
     }

@@ -40,9 +40,10 @@ impl ReportStats for PrefetchStats {
 /// ```
 /// use gsdram_cache::prefetch::StridePrefetcher;
 /// let mut p = StridePrefetcher::degree4();
-/// p.observe(0x400, 0);
-/// p.observe(0x400, 64);                      // stride learned...
-/// let lines = p.observe(0x400, 128);         // ...and confirmed
+/// let mut lines = Vec::new();
+/// p.observe_into(0x400, 0, &mut lines);
+/// p.observe_into(0x400, 64, &mut lines);    // stride learned...
+/// p.observe_into(0x400, 128, &mut lines);   // ...and confirmed
 /// assert_eq!(lines, vec![192, 256, 320, 384]);
 /// ```
 #[derive(Debug, Clone)]
@@ -79,16 +80,18 @@ impl StridePrefetcher {
         self.stats
     }
 
-    /// Trains on a demand access `(pc, addr)` and returns the *line*
-    /// addresses to prefetch (empty until the stride is confident).
+    /// Trains on a demand access `(pc, addr)` and writes the *line*
+    /// addresses to prefetch into `out`, cleared first (empty until the
+    /// stride is confident). A caller-owned buffer keeps the miss path
+    /// allocation-free.
     ///
-    /// Only distinct lines ahead of the access are returned, so a unit-
+    /// Only distinct lines ahead of the access are written, so a unit-
     /// stride stream prefetches `degree` upcoming lines, not duplicates
     /// of the current one.
-    pub fn observe(&mut self, pc: u64, addr: u64) -> Vec<u64> {
+    pub fn observe_into(&mut self, pc: u64, addr: u64, out: &mut Vec<u64>) {
         self.stats.observations += 1;
         let idx = cast::to_usize(pc) & (self.table.len() - 1);
-        let mut out = Vec::new();
+        out.clear();
         match &mut self.table[idx] {
             Some(e) if e.pc == pc => {
                 let stride = cast::signed(addr) - cast::signed(e.last_addr);
@@ -126,13 +129,20 @@ impl StridePrefetcher {
             }
         }
         self.stats.issued += cast::widen(out.len());
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StridePrefetcher {
+        fn observe(&mut self, pc: u64, addr: u64) -> Vec<u64> {
+            let mut out = Vec::new();
+            self.observe_into(pc, addr, &mut out);
+            out
+        }
+    }
 
     #[test]
     fn needs_training_before_issuing() {

@@ -229,12 +229,13 @@ fn prefetcher_output_bounds() {
     for _ in 0..128 {
         let n = rng.range(1, 100) as usize;
         let mut p = StridePrefetcher::degree4();
+        let mut out = Vec::new();
         let mut addr: i64 = 1 << 20;
         for _ in 0..n {
             let pc = rng.below(8);
             let stride = rng.range_i64(-512, 512);
             addr = (addr + stride).max(0);
-            let out = p.observe(pc, addr as u64);
+            p.observe_into(pc, addr as u64, &mut out);
             assert!(out.len() <= 4, "degree bound");
             let cur_line = (addr as u64) / 64 * 64;
             assert!(out.iter().all(|&a| a != cur_line), "self-prefetch");

@@ -1,5 +1,5 @@
-//! Functional model of a GS-DRAM module: per-chip word arrays plus the
-//! gather/scatter datapath (shuffle network + per-chip CTL) of §3.4.
+//! Functional model of a GS-DRAM module: line-major word storage plus
+//! the gather/scatter datapath (shuffle network + per-chip CTL) of §3.4.
 //!
 //! The module stores data exactly as the hardware would: chip `i` holds
 //! one 8-byte word per (row, column). The memory-controller-side shuffle
@@ -8,9 +8,9 @@
 //! (pattern, column) command. This model is the ground truth the timing
 //! simulator and the end-to-end system build on.
 
-use crate::ctl::{ctl_bank, ColumnTranslationLogic, CommandKind};
+use crate::ctl::{ctl_bank, ctl_for, ColumnTranslationLogic, CommandKind};
 use crate::error::AccessError;
-use crate::{ColumnId, Geometry, GsDramConfig, PatternId, RowId};
+use crate::{ChipId, ColumnId, Geometry, GsDramConfig, PatternId, RowId};
 
 /// Where one word of a gathered cache line comes from, and which logical
 /// element of the row it is.
@@ -110,7 +110,7 @@ pub fn gathered_elements_into(
 ) {
     out.clear();
     for i in 0..cfg.chips() as u8 {
-        let ctl = crate::ctl::ctl_for(cfg, crate::ChipId(i));
+        let ctl = ctl_for(cfg, ChipId(i));
         out.push(slot_for_chip(cfg, &ctl, pattern, col, shuffled).element);
     }
     // Same-pattern gathers partition the row into disjoint element sets,
@@ -154,8 +154,8 @@ pub fn column_containing(
     ctls[chip].translate(CommandKind::Read, pattern, col)
 }
 
-/// A functional GS-DRAM module: `chips` arrays of 8-byte words addressed
-/// by (row, column).
+/// A functional GS-DRAM module: `chips` 8-byte words per (row, column),
+/// stored line-major.
 ///
 /// All accesses go through the same shuffle + CTL datapath the paper
 /// specifies, so reads with non-zero patterns return exactly what the
@@ -182,18 +182,22 @@ pub fn column_containing(
 pub struct GsModule {
     cfg: GsDramConfig,
     geom: Geometry,
-    /// `chips[i][row * cols_per_row + col]` = the 8-byte word chip `i`
-    /// holds at that location.
-    chips: Vec<Vec<u64>>,
+    /// `words[(row * cols_per_row + col) * chips + chip]` = the 8-byte
+    /// word chip `chip` holds at that location. One column's chip words
+    /// are adjacent, and the zeroed allocation is only backed by host
+    /// memory as it is written.
+    words: Vec<u64>,
 }
+
+/// Most chips a rank can have: chip IDs are 8-bit.
+const MAX_CHIPS: usize = 1 << u8::BITS;
 
 impl GsModule {
     /// Creates a zero-filled module with the given configuration and
     /// geometry.
     pub fn new(cfg: GsDramConfig, geom: Geometry) -> Self {
-        let words = geom.rows() * geom.cols_per_row();
-        let chips = vec![vec![0u64; words]; cfg.chips()];
-        GsModule { cfg, geom, chips }
+        let words = vec![0u64; geom.rows() * geom.cols_per_row() * cfg.chips()];
+        GsModule { cfg, geom, words }
     }
 
     /// The module's configuration.
@@ -233,8 +237,61 @@ impl GsModule {
         Ok(())
     }
 
-    fn idx(&self, row: RowId, chip_col: u32) -> usize {
-        row.0 as usize * self.geom.cols_per_row() + chip_col as usize
+    /// Index of chip 0's word at `(row, col)`; chip `i`'s word follows
+    /// at `+ i`.
+    fn line_base(&self, row: RowId, col: u32) -> usize {
+        (row.0 as usize * self.geom.cols_per_row() + col as usize) * self.cfg.chips()
+    }
+
+    /// The shuffle control of the line at `col`: the chip holding word
+    /// `w` of that line is `w ^ control`.
+    fn control(&self, col: ColumnId, shuffled: bool) -> usize {
+        if shuffled {
+            self.cfg
+                .shuffle_fn()
+                .control(col, self.cfg.shuffle_stages()) as usize
+        } else {
+            0
+        }
+    }
+
+    /// Calls `f(k, index)` for each word `k` of the `(pattern, col)`
+    /// column command on `row`, in assembly order, with the storage index
+    /// of the chip word it moves. The caller has run [`Self::check`].
+    fn for_each_slot(
+        &self,
+        row: RowId,
+        col: ColumnId,
+        pattern: PatternId,
+        shuffled: bool,
+        mut f: impl FnMut(usize, usize),
+    ) {
+        let chips = self.cfg.chips();
+        if pattern.is_default() {
+            // Every chip reads `col`: word `w` sits on chip `w ^ control`.
+            let base = self.line_base(row, col.0);
+            let control = self.control(col, shuffled);
+            for w in 0..chips {
+                f(w, base + (w ^ control));
+            }
+            return;
+        }
+        // Sort the chips by the element they supply: column first, then
+        // word. Chip and word are below `MAX_CHIPS`, so both pack into the
+        // low 16 bits of the key beneath the column.
+        let mut order = [0u64; MAX_CHIPS];
+        let order = &mut order[..chips];
+        for (chip, key) in order.iter_mut().enumerate() {
+            let ctl = ctl_for(&self.cfg, ChipId(chip as u8));
+            let chip_col = ctl.translate(CommandKind::Read, pattern, col);
+            let word = chip ^ self.control(chip_col, shuffled);
+            *key = (u64::from(chip_col.0) << 16) | ((word as u64) << 8) | chip as u64;
+        }
+        order.sort_unstable();
+        for (k, key) in order.iter().enumerate() {
+            let chip_col = (key >> 16) as u32;
+            f(k, self.line_base(row, chip_col) + (key & 0xff) as usize);
+        }
     }
 
     /// Reads a (possibly gathered) cache line with one column command.
@@ -254,12 +311,31 @@ impl GsModule {
         pattern: PatternId,
         shuffled: bool,
     ) -> Result<Vec<u64>, AccessError> {
+        let mut out = Vec::with_capacity(self.cfg.chips());
+        self.read_line_into(row, col, pattern, shuffled, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`read_line`](Self::read_line) into a caller-provided buffer
+    /// (cleared first): the allocation-free gather the simulator's line
+    /// path uses.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_line`](Self::read_line); `out` is left empty.
+    pub fn read_line_into(
+        &self,
+        row: RowId,
+        col: ColumnId,
+        pattern: PatternId,
+        shuffled: bool,
+        out: &mut Vec<u64>,
+    ) -> Result<(), AccessError> {
+        out.clear();
         self.check(row, col, pattern)?;
-        let slots = gather_slots(&self.cfg, pattern, col, shuffled);
-        Ok(slots
-            .iter()
-            .map(|s| self.chips[s.chip as usize][self.idx(row, s.chip_col)])
-            .collect())
+        out.resize(self.cfg.chips(), 0);
+        self.for_each_slot(row, col, pattern, shuffled, |k, i| out[k] = self.words[i]);
+        Ok(())
     }
 
     /// Writes (possibly scattering) a cache line with one column command.
@@ -288,11 +364,9 @@ impl GsModule {
                 expected: self.cfg.chips(),
             });
         }
-        let slots = gather_slots(&self.cfg, pattern, col, shuffled);
-        for (word, slot) in line.iter().zip(&slots) {
-            let i = self.idx(row, slot.chip_col);
-            self.chips[slot.chip as usize][i] = *word;
-        }
+        let mut words = std::mem::take(&mut self.words);
+        self.for_each_slot(row, col, pattern, shuffled, |k, i| words[i] = line[k]);
+        self.words = words;
         Ok(())
     }
 
@@ -308,9 +382,8 @@ impl GsModule {
         element: usize,
         shuffled: bool,
     ) -> Result<u64, AccessError> {
-        let (col, word) = self.split_element(row, element)?;
-        let chip = self.chip_of(col, word, shuffled);
-        Ok(self.chips[chip][self.idx(row, col.0)])
+        let i = self.element_index(row, element, shuffled)?;
+        Ok(self.words[i])
     }
 
     /// Writes one logical element of a row directly.
@@ -325,37 +398,41 @@ impl GsModule {
         shuffled: bool,
         value: u64,
     ) -> Result<(), AccessError> {
-        let (col, word) = self.split_element(row, element)?;
-        let chip = self.chip_of(col, word, shuffled);
-        let i = self.idx(row, col.0);
-        self.chips[chip][i] = value;
+        let i = self.element_index(row, element, shuffled)?;
+        self.words[i] = value;
         Ok(())
     }
 
-    fn split_element(&self, row: RowId, element: usize) -> Result<(ColumnId, usize), AccessError> {
-        let col = element / self.cfg.chips();
-        let word = element % self.cfg.chips();
-        let c = ColumnId(col as u32);
-        self.check(row, c, PatternId::DEFAULT)?;
-        Ok((c, word))
+    /// Storage index of logical element `element` of `row`: word
+    /// `element % chips` of the line at column `element / chips`.
+    fn element_index(
+        &self,
+        row: RowId,
+        element: usize,
+        shuffled: bool,
+    ) -> Result<usize, AccessError> {
+        let chips = self.cfg.chips();
+        let col = ColumnId((element / chips) as u32);
+        self.check(row, col, PatternId::DEFAULT)?;
+        Ok(self.line_base(row, col.0) + ((element % chips) ^ self.control(col, shuffled)))
     }
 
-    fn chip_of(&self, col: ColumnId, word: usize, shuffled: bool) -> usize {
-        if shuffled {
-            let control = self
-                .cfg
-                .shuffle_fn()
-                .control(col, self.cfg.shuffle_stages());
-            word ^ control as usize
-        } else {
-            word
-        }
-    }
-
-    /// Raw view of one chip's storage (for tests and chip-conflict
-    /// inspection).
-    pub fn chip_words(&self, chip: u8) -> &[u64] {
-        &self.chips[chip as usize]
+    /// The word chip `chip` holds at `(row, col)` (for tests and
+    /// chip-conflict inspection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chip`, `row` or `col` lies outside the module.
+    pub fn chip_word(&self, chip: u8, row: RowId, col: ColumnId) -> u64 {
+        assert!(
+            usize::from(chip) < self.cfg.chips()
+                && (row.0 as usize) < self.geom.rows()
+                && (col.0 as usize) < self.geom.cols_per_row(),
+            "chip {chip}, row {}, column {} outside the module",
+            row.0,
+            col.0
+        );
+        self.words[self.line_base(row, col.0) + usize::from(chip)]
     }
 }
 
@@ -545,6 +622,6 @@ mod tests {
     fn capacity_accounts_all_chips() {
         let m = module_4_2_2();
         assert_eq!(m.capacity_bytes(), 4 * 8 * 2 * 16);
-        assert_eq!(m.chip_words(0).len(), 32);
+        assert_eq!(m.chip_word(3, RowId(1), ColumnId(15)), 0);
     }
 }

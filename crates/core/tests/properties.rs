@@ -117,6 +117,68 @@ fn stride_patterns_gather_strides() {
 /// Scatter followed by gather with the same (pattern, col) returns the
 /// written line bit-for-bit, and leaves all other elements of the row
 /// untouched.
+/// The line-major module's one-command gather and scatter agree with the
+/// element oracle (`gathered_elements` + `read_element`/`write_element`)
+/// for every pattern, column and shuffle flag, and a scatter touches
+/// nothing but its gathered elements.
+#[test]
+fn line_path_matches_element_oracle() {
+    let cases = [
+        GsDramConfig::gs_dram_4_2_2(),
+        GsDramConfig::gs_dram_8_3_3(),
+        GsDramConfig::new(8, 3, 6).unwrap(), // §6.2 wide pattern IDs
+    ];
+    for cfg in cases {
+        let geom = Geometry::new(&cfg, 2, 16.max(1 << cfg.pattern_bits())).unwrap();
+        let elements = geom.cols_per_row() * cfg.chips();
+        let background = |row: u32, e: usize| (u64::from(row) << 32) | e as u64;
+        for shuffled in [false, true] {
+            let mut m = GsModule::new(cfg.clone(), geom);
+            let fill = |m: &mut GsModule| {
+                for row in 0..2 {
+                    for e in 0..elements {
+                        m.write_element(RowId(row), e, shuffled, background(row, e))
+                            .unwrap();
+                    }
+                }
+            };
+            fill(&mut m);
+            let mut out = vec![u64::MAX; 3]; // stale contents must be cleared
+            for pattern in cfg.patterns() {
+                for col in 0..geom.cols_per_row() as u32 {
+                    let (row, col) = (RowId(1), ColumnId(col));
+                    let elems = gathered_elements(&cfg, pattern, col, shuffled);
+                    let want: Vec<u64> = elems
+                        .iter()
+                        .map(|&e| m.read_element(row, e, shuffled).unwrap())
+                        .collect();
+                    m.read_line_into(row, col, pattern, shuffled, &mut out)
+                        .unwrap();
+                    let ctx = format!(
+                        "{cfg:?} pattern {} col {} shuffled {shuffled}",
+                        pattern.0, col.0
+                    );
+                    assert_eq!(out, want, "gather: {ctx}");
+
+                    let line: Vec<u64> = (0..cfg.chips() as u64).map(|k| 0xF000 + k).collect();
+                    m.write_line(row, col, pattern, shuffled, &line).unwrap();
+                    for r in 0..2 {
+                        for e in 0..elements {
+                            let got = m.read_element(RowId(r), e, shuffled).unwrap();
+                            let want = match elems.iter().position(|&g| g == e) {
+                                Some(k) if r == row.0 => line[k],
+                                _ => background(r, e),
+                            };
+                            assert_eq!(got, want, "scatter: {ctx}, row {r} element {e}");
+                        }
+                    }
+                    fill(&mut m);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn scatter_gather_round_trip() {
     let mut rng = SplitMix(0x5705);

@@ -17,18 +17,19 @@
 //! machine's composition job and lives in the `impl Machine` block
 //! here.
 //!
-//! Hot-path note: word-address and sub-request expansion reuse
-//! per-bridge scratch buffers, so steady-state fetch/writeback traffic
-//! does not allocate.
-
-use std::collections::BTreeMap;
+//! Hot-path note: a line whose word-address semantics match its page's
+//! shuffle flag (every GS-DRAM line, every default-pattern line) moves
+//! with one module gather or scatter; only Impulse's controller-side
+//! gathers on unshuffled pages walk word addresses. Those and the
+//! sub-request expansion reuse per-bridge scratch buffers, so
+//! steady-state fetch/writeback traffic does not allocate.
 
 use gsdram_cache::cache::LineKey;
 use gsdram_cache::overlap::OverlapCalc;
 use gsdram_core::port::{EventHub, MemReq, SimEvent};
 use gsdram_core::stats::{ReportStats, StatsNode};
 use gsdram_core::time::TimeFold;
-use gsdram_core::{cast, ColumnId, Geometry, GsModule, PatternId, RowId};
+use gsdram_core::{cast, AccessError, ColumnId, Geometry, GsModule, PatternId, RowId};
 use gsdram_dram::controller::{
     AccessKind, Completion, ControllerStats, MemController, MemRequest, ReqId,
 };
@@ -54,12 +55,16 @@ pub(crate) struct Waiter {
 /// One logical line fetch in flight at the controllers.
 #[derive(Debug, Clone)]
 struct Outstanding {
+    /// The fetch's own id; its sub-requests are `id + 1..=id + subs`.
+    id: ReqId,
+    /// Sub-requests enqueued (1 for GS-DRAM; the number of covered
+    /// lines for an Impulse gather).
+    subs: u64,
     key: LineKey,
     shuffled: bool,
     demand: bool,
     waiters: Vec<Waiter>,
-    /// Sub-requests still in flight (1 for GS-DRAM; the number of
-    /// covered lines for an Impulse gather).
+    /// Sub-requests still in flight.
     remaining: usize,
     /// Completion time of the latest finished sub-request (mem cycles).
     done_at: u64,
@@ -143,10 +148,9 @@ pub struct DramBridge {
     gather: GatherSupport,
     chips: usize,
     cpu_per_mem: u64,
-    outstanding: BTreeMap<ReqId, Outstanding>,
-    by_key: BTreeMap<LineKey, ReqId>,
-    /// Maps each DRAM sub-request to its logical fetch.
-    parent_of: BTreeMap<ReqId, ReqId>,
+    /// Logical fetches in flight, at most one per line key. Short (the
+    /// controllers' queues bound it), so lookups scan it.
+    outstanding: Vec<Outstanding>,
     next_req: ReqId,
     /// Word-address scratch for functional line reads/writes.
     addr_buf: Vec<u64>,
@@ -182,9 +186,7 @@ impl DramBridge {
             gather: cfg.gather,
             chips: cfg.gsdram.chips(),
             cpu_per_mem: cfg.cpu_per_mem,
-            outstanding: BTreeMap::new(),
-            by_key: BTreeMap::new(),
-            parent_of: BTreeMap::new(),
+            outstanding: Vec::new(),
             next_req: 0,
             addr_buf: Vec::new(),
             sub_buf: Vec::new(),
@@ -214,6 +216,13 @@ impl DramBridge {
         )
     }
 
+    /// The module row and logical row element holding the word at
+    /// `addr`.
+    fn element_at(&self, addr: u64) -> (RowId, usize) {
+        let (row, col, word) = self.row_col(addr);
+        (row, cast::index(col.0) * self.chips + word)
+    }
+
     /// Which word-address semantics a line uses (see
     /// [`crate::coherence::CoherenceEngine::addr_semantics`]).
     fn addr_semantics(&self, pages: &PageTable, key: LineKey) -> bool {
@@ -224,19 +233,39 @@ impl DramBridge {
     /// Writes `value` at `addr` directly into the DRAM module.
     pub(crate) fn poke(&mut self, pages: &PageTable, addr: u64, value: u64) {
         let shuffled = pages.info(addr).shuffle;
-        let (row, col, word) = self.row_col(addr);
-        let element = cast::index(col.0) * self.chips + word;
+        let (row, element) = self.element_at(addr);
         self.module
             .write_element(row, element, shuffled, value)
             // gsdram-lint: allow(D4) row/element derive from an address the page table vetted
             .expect("poke within modelled memory");
     }
 
+    /// Writes one whole line at line-aligned `addr` directly into the
+    /// DRAM module with a single pattern-0 scatter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not line-aligned, `line` is not one line
+    /// long, or the line lies outside modelled memory.
+    pub(crate) fn poke_line(&mut self, pages: &PageTable, addr: u64, line: &[u64]) {
+        assert!(
+            addr.is_multiple_of(64),
+            "poke_line: address {addr:#x} is not line-aligned"
+        );
+        let shuffled = pages.info(addr).shuffle;
+        let (row, col, _) = self.row_col(addr);
+        if let Err(e) = self
+            .module
+            .write_line(row, col, PatternId::DEFAULT, shuffled, line)
+        {
+            panic!("poke_line at {addr:#x}: {e}");
+        }
+    }
+
     /// Reads the value at `addr` from the DRAM module.
     pub(crate) fn peek(&self, pages: &PageTable, addr: u64) -> u64 {
         let shuffled = pages.info(addr).shuffle;
-        let (row, col, word) = self.row_col(addr);
-        let element = cast::index(col.0) * self.chips + word;
+        let (row, element) = self.element_at(addr);
         self.module
             .read_element(row, element, shuffled)
             // gsdram-lint: allow(D4) row/element derive from an address the page table vetted
@@ -245,40 +274,66 @@ impl DramBridge {
 
     /// Functionally writes a line's words into the DRAM module.
     pub(crate) fn write_line(&mut self, pages: &PageTable, key: LineKey, data: &[u64]) {
+        self.try_write_line(pages, key, data)
+            // gsdram-lint: allow(D4) the key names a line inside the page table's memory
+            .expect("writeback within modelled memory");
+    }
+
+    fn try_write_line(
+        &mut self,
+        pages: &PageTable,
+        key: LineKey,
+        data: &[u64],
+    ) -> Result<(), AccessError> {
         let shuffled = pages.info(key.addr).shuffle;
         let sem = self.addr_semantics(pages, key);
+        if sem == shuffled {
+            let (row, col, _) = self.row_col(key.addr);
+            return self
+                .module
+                .write_line(row, col, key.pattern, shuffled, data);
+        }
         let mut addrs = std::mem::take(&mut self.addr_buf);
         self.overlap.word_addresses_into(key, sem, &mut addrs);
         for (a, v) in addrs.iter().zip(data) {
-            let (row, col, word) = self.row_col(*a);
-            let element = cast::index(col.0) * self.chips + word;
-            self.module
-                .write_element(row, element, shuffled, *v)
-                // gsdram-lint: allow(D4) word addresses come from OverlapCalc over a resident line
-                .expect("writeback within modelled memory");
+            let (row, element) = self.element_at(*a);
+            self.module.write_element(row, element, shuffled, *v)?;
         }
         self.addr_buf = addrs;
+        Ok(())
     }
 
     /// Functionally reads a line's words from the DRAM module into
     /// `out` (cleared first).
     pub(crate) fn read_line_into(&mut self, pages: &PageTable, key: LineKey, out: &mut Vec<u64>) {
+        self.try_read_line_into(pages, key, out)
+            // gsdram-lint: allow(D4) the key names a line inside the page table's memory
+            .expect("fetch within modelled memory");
+    }
+
+    fn try_read_line_into(
+        &mut self,
+        pages: &PageTable,
+        key: LineKey,
+        out: &mut Vec<u64>,
+    ) -> Result<(), AccessError> {
         let shuffled = pages.info(key.addr).shuffle;
         let sem = self.addr_semantics(pages, key);
+        if sem == shuffled {
+            let (row, col, _) = self.row_col(key.addr);
+            return self
+                .module
+                .read_line_into(row, col, key.pattern, shuffled, out);
+        }
         let mut addrs = std::mem::take(&mut self.addr_buf);
         self.overlap.word_addresses_into(key, sem, &mut addrs);
         out.clear();
         for a in &addrs {
-            let (row, col, word) = self.row_col(*a);
-            let element = cast::index(col.0) * self.chips + word;
-            out.push(
-                self.module
-                    .read_element(row, element, shuffled)
-                    // gsdram-lint: allow(D4) word addresses come from OverlapCalc over a resident line
-                    .expect("fetch within modelled memory"),
-            );
+            let (row, element) = self.element_at(*a);
+            out.push(self.module.read_element(row, element, shuffled)?);
         }
         self.addr_buf = addrs;
+        Ok(())
     }
 
     fn alloc_req_id(&mut self) -> ReqId {
@@ -370,25 +425,24 @@ impl DramBridge {
                 at_mem,
             });
         }
-        let parent = self.alloc_req_id();
-        self.outstanding.insert(
-            parent,
-            Outstanding {
-                key,
-                shuffled,
-                demand,
-                waiters,
-                remaining: subs.len(),
-                done_at: 0,
-            },
-        );
-        self.by_key.insert(key, parent);
+        // The sub-requests take the ids right after the fetch's own, so
+        // a completion finds its fetch by range.
+        let id = self.alloc_req_id();
+        self.outstanding.push(Outstanding {
+            id,
+            subs: cast::widen(subs.len()),
+            key,
+            shuffled,
+            demand,
+            waiters,
+            remaining: subs.len(),
+            done_at: 0,
+        });
         for &(a, pattern) in &subs {
             let loc = self.map.decompose(a);
             let ch = loc.channel;
             let at = self.to_mem(at_cpu).max(self.controllers[ch].now());
             let id = self.alloc_req_id();
-            self.parent_of.insert(id, parent);
             let req = MemRequest {
                 id,
                 loc,
@@ -411,17 +465,15 @@ impl DramBridge {
 
     /// Whether a fetch of `key` is already in flight.
     pub(crate) fn in_flight(&self, key: LineKey) -> bool {
-        self.by_key.contains_key(&key)
+        self.outstanding.iter().any(|o| o.key == key)
     }
 
     /// Attaches `waiter` to an in-flight fetch of `key` (promoting it
     /// to a demand fetch). Returns `false` if none is in flight.
     pub(crate) fn attach_waiter(&mut self, key: LineKey, waiter: Waiter) -> bool {
-        let Some(&id) = self.by_key.get(&key) else {
+        let Some(out) = self.outstanding.iter_mut().find(|o| o.key == key) else {
             return false;
         };
-        // gsdram-lint: allow(D4) by_key and outstanding are inserted/removed together
-        let out = self.outstanding.get_mut(&id).expect("tracked");
         out.demand = true;
         out.waiters.push(waiter);
         true
@@ -498,19 +550,18 @@ impl DramBridge {
             id: c.id,
             at_mem: c.at,
         });
-        let parent = self.parent_of.remove(&c.id)?;
-        {
-            // gsdram-lint: allow(D4) parent_of entries are created with their outstanding entry
-            let out = self.outstanding.get_mut(&parent).expect("parent tracked");
-            out.done_at = out.done_at.max(c.at);
-            out.remaining -= 1;
-            if out.remaining > 0 {
-                return None; // an Impulse gather is still collecting lines
-            }
+        // Writebacks match no fetch.
+        let i = self
+            .outstanding
+            .iter()
+            .position(|o| o.id < c.id && c.id <= o.id + o.subs)?;
+        let out = &mut self.outstanding[i];
+        out.done_at = out.done_at.max(c.at);
+        out.remaining -= 1;
+        if out.remaining > 0 {
+            return None; // an Impulse gather is still collecting lines
         }
-        // gsdram-lint: allow(D4) remaining just hit zero, the entry is still present
-        let out = self.outstanding.remove(&parent).expect("parent tracked");
-        self.by_key.remove(&out.key);
+        let out = self.outstanding.swap_remove(i);
         Some(FetchDone {
             key: out.key,
             shuffled: out.shuffled,

@@ -202,8 +202,9 @@ impl Machine {
         if !self.cfg.prefetch {
             return;
         }
-        let targets = self.hier.prefetchers[core].observe(pc, addr);
-        for t in targets {
+        let mut targets = std::mem::take(&mut self.pf_buf);
+        self.hier.prefetchers[core].observe_into(pc, addr, &mut targets);
+        for &t in &targets {
             if t >= self.pages.allocated() {
                 continue;
             }
@@ -219,6 +220,7 @@ impl Machine {
             self.bridge
                 .enqueue_fetch(key, shuffled, false, Vec::new(), at_cpu, &mut self.events);
         }
+        self.pf_buf = targets;
     }
 
     /// Copies a resident L2 line into the machine's line scratch and

@@ -64,6 +64,8 @@ pub struct Machine {
     /// Scratch for draining controller completions without a per-poll
     /// allocation (non-empty only within one delivery step).
     pub(crate) comp_buf: Vec<Completion>,
+    /// Scratch for the stride prefetcher's targets on an L1 miss.
+    pub(crate) pf_buf: Vec<u64>,
 }
 
 impl Machine {
@@ -86,6 +88,7 @@ impl Machine {
             wb: Vec::new(),
             line_buf: Vec::new(),
             comp_buf: Vec::new(),
+            pf_buf: Vec::new(),
         }
     }
 
@@ -144,6 +147,18 @@ impl Machine {
     /// caches and timing) — initialisation convenience.
     pub fn poke(&mut self, addr: u64, value: u64) {
         self.bridge.poke(&self.pages, addr, value);
+    }
+
+    /// Writes one whole line at line-aligned `addr` directly into the
+    /// DRAM module (bypassing caches and timing) with one pattern-0
+    /// scatter: the same image as one [`Machine::poke`] per word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not line-aligned, `line` is not one line
+    /// long, or the line lies outside modelled memory.
+    pub fn poke_line(&mut self, addr: u64, line: &[u64]) {
+        self.bridge.poke_line(&self.pages, addr, line);
     }
 
     /// Reads the value at `addr` from the DRAM module, *ignoring* cached

@@ -33,6 +33,50 @@ fn load_returns_poked_value() {
     assert_eq!(r.mem_ops, 1);
 }
 
+/// `poke_line` is one pattern-0 scatter with the same DRAM image as one
+/// `poke` per word, on shuffled and plain pages alike.
+#[test]
+fn poke_line_matches_word_pokes() {
+    for shuffle in [true, false] {
+        let mut by_word = small_machine(1);
+        let mut by_line = small_machine(1);
+        let bytes = 64 * 300; // spans a DRAM row boundary
+        let a = by_word.pattmalloc(bytes, shuffle, PatternId(7));
+        let b = by_line.pattmalloc(bytes, shuffle, PatternId(7));
+        assert_eq!(a, b);
+        for t in 0..bytes / 64 {
+            let line: Vec<u64> = (0..8).map(|w| t * 1000 + w).collect();
+            for (w, &v) in (0u64..).zip(&line) {
+                by_word.poke(a + t * 64 + w * 8, v);
+            }
+            by_line.poke_line(a + t * 64, &line);
+        }
+        for addr in (a..a + bytes).step_by(8) {
+            assert_eq!(
+                by_line.peek(addr),
+                by_word.peek(addr),
+                "shuffle {shuffle} addr {addr:#x}"
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "not line-aligned")]
+fn poke_line_rejects_misaligned_address() {
+    let mut m = small_machine(1);
+    let base = m.malloc(4096);
+    m.poke_line(base + 8, &[0; 8]);
+}
+
+#[test]
+#[should_panic(expected = "line has 7 words, expected 8")]
+fn poke_line_rejects_wrong_length() {
+    let mut m = small_machine(1);
+    let base = m.malloc(4096);
+    m.poke_line(base, &[0; 7]);
+}
+
 #[test]
 fn store_then_load_round_trips() {
     let mut m = small_machine(1);

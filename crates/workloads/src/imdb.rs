@@ -71,9 +71,23 @@ impl Table {
             tuples,
             base,
         };
-        for t in 0..tuples {
-            for f in 0..FIELDS as u64 {
-                m.poke(table.field_addr(t, f as usize), t * 8 + f);
+        match layout {
+            Layout::RowStore | Layout::GsDram => {
+                // One tuple is one line: write it with a single scatter.
+                let mut line = [0u64; FIELDS];
+                for t in 0..tuples {
+                    for (f, w) in (0u64..).zip(&mut line) {
+                        *w = t * 8 + f;
+                    }
+                    m.poke_line(table.field_addr(t, 0), &line);
+                }
+            }
+            Layout::ColumnStore => {
+                for t in 0..tuples {
+                    for f in 0..FIELDS as u64 {
+                        m.poke(table.field_addr(t, f as usize), t * 8 + f);
+                    }
+                }
             }
         }
         table
