@@ -21,7 +21,9 @@ use gsdram_core::stats::StatsNode;
 /// decomposition. fig7 pins the module's per-chip view; fig11 pins
 /// HTAP stores, overlap flushes and deep queues; ablation_impulse pins
 /// Impulse's multi-sub-request gathers, the one line path that reads
-/// through word addresses.
+/// through word addresses. The remaining twelve complete the registry:
+/// every experiment is pinned at a size that runs in about a second in
+/// a debug build (`extension_ecc` at 64 trials instead of 20,000).
 const PINS: &[(&str, &[&str], &str)] = &[
     (
         "fig9",
@@ -50,6 +52,54 @@ const PINS: &[(&str, &[&str], &str)] = &[
         "ablation_impulse",
         &["--tuples", "2048"],
         "ablation_impulse_small.json",
+    ),
+    (
+        "fig12",
+        &["--txns", "200", "--tuples", "2048"],
+        "fig12_small.json",
+    ),
+    ("fig13", &["--sizes", "32,64"], "fig13_small.json"),
+    ("ablation_shuffle", &[], "ablation_shuffle_small.json"),
+    ("ablation_patterns", &[], "ablation_patterns_small.json"),
+    (
+        "ablation_sectored",
+        &["--lines", "1024"],
+        "ablation_sectored_small.json",
+    ),
+    (
+        "ablation_sched",
+        &["--tuples", "2048"],
+        "ablation_sched_small.json",
+    ),
+    (
+        "ablation_mapping",
+        &["--tuples", "2048"],
+        "ablation_mapping_small.json",
+    ),
+    (
+        "ablation_row_policy",
+        &["--tuples", "2048"],
+        "ablation_row_policy_small.json",
+    ),
+    (
+        "extension_ecc",
+        &["--trials", "64"],
+        "extension_ecc_small.json",
+    ),
+    (
+        "extension_filter",
+        &["--tuples", "4096"],
+        "extension_filter_small.json",
+    ),
+    (
+        "extension_transpose",
+        &["--sizes", "32,64"],
+        "extension_transpose_small.json",
+    ),
+    (
+        "extras_kvstore_graph",
+        &["--pairs", "2048", "--nodes", "4096"],
+        "extras_kvstore_graph_small.json",
     ),
 ];
 
