@@ -35,21 +35,32 @@ impl Args {
     /// the experiment name in `sweep fig9 --serial` or
     /// `trace fig9 --out t.json`.
     pub fn positional_at(&self, n: usize) -> Option<&str> {
-        let mut seen = 0usize;
+        self.walk()
+            .filter(|&(flag, _)| !flag)
+            .nth(n)
+            .map(|(_, a)| a)
+    }
+
+    /// Every `--flag` given, in order, without the values of
+    /// `--name value` pairs.
+    pub fn flags(&self) -> impl Iterator<Item = &str> {
+        self.walk().filter(|&(flag, _)| flag).map(|(_, a)| a)
+    }
+
+    /// The arguments as `(is_flag, text)`, skipping each value that
+    /// belongs to a `--name value` pair.
+    fn walk(&self) -> impl Iterator<Item = (bool, &str)> {
         let mut it = self.argv.iter();
-        while let Some(a) = it.next() {
-            if let Some(flag) = a.strip_prefix("--") {
-                if !Self::BOOLEAN_FLAGS.contains(&flag) {
-                    it.next(); // skip this flag's value
-                }
-            } else {
-                if seen == n {
-                    return Some(a);
-                }
-                seen += 1;
+        std::iter::from_fn(move || {
+            let a = it.next()?;
+            let Some(flag) = a.strip_prefix("--") else {
+                return Some((false, a.as_str()));
+            };
+            if !Self::BOOLEAN_FLAGS.contains(&flag) {
+                it.next(); // this flag's value
             }
-        }
-        None
+            Some((true, a.as_str()))
+        })
     }
 
     /// Flags that take no value — needed so [`Args::positional`] can
@@ -131,5 +142,14 @@ mod tests {
         let c = Args::new(["--prefetch", "htap"]);
         assert_eq!(c.positional(), Some("htap"));
         assert_eq!(Args::new(["--tuples", "4096"]).positional(), None);
+    }
+
+    #[test]
+    fn flags_skip_values() {
+        let a = Args::new(["sweep", "fig9", "--txns", "200", "--serial", "--bogus", "3"]);
+        assert_eq!(
+            a.flags().collect::<Vec<_>>(),
+            ["--txns", "--serial", "--bogus"]
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! in `render`. Everything else goes through the sweep runner, so
 //! `gsdram-sim sweep <name>` parallelises any experiment for free.
 
-use gsdram_cache::cache::{CacheConfig, LineKey, SetAssocCache};
+use gsdram_cache::cache::{CacheConfig, Fill, LineKey, SetAssocCache};
 use gsdram_cache::overlap::OverlapCalc;
 use gsdram_cache::sectored::SectoredCache;
 use gsdram_core::analysis::{
@@ -51,7 +51,21 @@ pub struct ExperimentDef {
     pub specs: fn(&Args) -> Vec<RunSpec>,
     /// Folds the executed outcomes into the summary subtree.
     pub render: fn(&Args, &[RunOutcome]) -> StatsNode,
+    /// The `--flags` that `specs` and `render` read; a sweep also
+    /// takes [`SWEEP_FLAGS`] and rejects anything else.
+    pub flags: &'static [&'static str],
 }
+
+/// Flags every `gsdram-sim sweep` reads, whatever the experiment.
+pub const SWEEP_FLAGS: &[&str] = &[
+    "--serial",
+    "--threads",
+    "--quiet",
+    "--json",
+    "--hist",
+    "--trace-out",
+    "--trace-cap",
+];
 
 /// Every experiment, in DESIGN.md §5–§6 order.
 pub const REGISTRY: &[ExperimentDef] = &[
@@ -60,120 +74,140 @@ pub const REGISTRY: &[ExperimentDef] = &[
         title: "Figure 7: gathered cache lines of GS-DRAM(4,2,2) + Figure 6 mapping",
         specs: no_specs,
         render: fig7_render,
+        flags: &[],
     },
     ExperimentDef {
         name: "fig9",
         title: "Figure 9: transaction execution time across read/write mixes",
         specs: fig9_specs,
         render: fig9_render,
+        flags: &["--txns", "--tuples"],
     },
     ExperimentDef {
         name: "fig10",
         title: "Figure 10: analytics execution time (1-2 columns, +/- prefetch)",
         specs: fig10_specs,
         render: fig10_render,
+        flags: &["--tuples"],
     },
     ExperimentDef {
         name: "fig11",
         title: "Figure 11: HTAP analytics time and transaction throughput",
         specs: fig11_specs,
         render: fig11_render,
+        flags: &["--tuples"],
     },
     ExperimentDef {
         name: "fig12",
         title: "Figure 12: average performance and energy summary",
         specs: fig12_specs,
         render: fig12_render,
+        flags: &["--txns", "--tuples"],
     },
     ExperimentDef {
         name: "fig13",
         title: "Figure 13: GEMM vs best tiled baseline, normalised to naive",
         specs: fig13_specs,
         render: fig13_render,
+        flags: &["--sizes", "--full"],
     },
     ExperimentDef {
         name: "ablation_shuffle",
         title: "Ablation: READ commands per gathered line with/without the shuffle",
         specs: no_specs,
         render: ablation_shuffle_render,
+        flags: &[],
     },
     ExperimentDef {
         name: "ablation_patterns",
         title: "Ablation: pattern-ID width, wide patterns, intra-chip translation",
         specs: no_specs,
         render: ablation_patterns_render,
+        flags: &[],
     },
     ExperimentDef {
         name: "ablation_sectored",
         title: "Ablation: pattern-tagged cache vs sectored cache (S4.1)",
         specs: no_specs,
         render: ablation_sectored_render,
+        flags: &["--lines"],
     },
     ExperimentDef {
         name: "ablation_sched",
         title: "Ablation: scheduling engines (fr-fcfs, fcfs, fr-fcfs-cap, bank-rr) under HTAP",
         specs: ablation_sched_specs,
         render: ablation_sched_render,
+        flags: &["--tuples"],
     },
     ExperimentDef {
         name: "ablation_mapping",
         title: "Ablation: direct vs XOR-hashed bank mapping",
         specs: ablation_mapping_specs,
         render: ablation_mapping_render,
+        flags: &["--tuples"],
     },
     ExperimentDef {
         name: "ablation_row_policy",
         title: "Ablation: open-row vs closed-row buffer management",
         specs: ablation_row_policy_specs,
         render: ablation_row_policy_render,
+        flags: &["--tuples"],
     },
     ExperimentDef {
         name: "ablation_impulse",
         title: "Ablation: GS-DRAM vs Impulse controller-side gather",
         specs: ablation_impulse_specs,
         render: ablation_impulse_render,
+        flags: &["--tuples"],
     },
     ExperimentDef {
         name: "extension_ecc",
         title: "Extension: SEC-DED coverage under every gather pattern (S6.3)",
         specs: no_specs,
         render: extension_ecc_render,
+        flags: &["--trials"],
     },
     ExperimentDef {
         name: "extension_filter",
         title: "Extension: selective projection vs selectivity",
         specs: extension_filter_specs,
         render: extension_filter_render,
+        flags: &["--tuples"],
     },
     ExperimentDef {
         name: "extension_transpose",
         title: "Extension: out-of-place matrix transpose",
         specs: extension_transpose_specs,
         render: extension_transpose_render,
+        flags: &["--sizes"],
     },
     ExperimentDef {
         name: "extras_kvstore_graph",
         title: "Extras (S5.3): key-value store and graph processing",
         specs: extras_specs,
         render: extras_render,
+        flags: &["--pairs", "--nodes"],
     },
     ExperimentDef {
         name: "pattern_stride_sweep",
         title: "Patterns: uniform-stride gather sweep, row vs GS-DRAM",
         specs: pattern_stride_sweep_specs,
         render: pattern_stride_sweep_render,
+        flags: &["--accesses", "--seed", "--strides"],
     },
     ExperimentDef {
         name: "pattern_indirect",
         title: "Patterns: windowed-random + indirect streams, incl. duplicate scatter",
         specs: pattern_indirect_specs,
         render: pattern_indirect_render,
+        flags: &["--accesses", "--elements", "--seed"],
     },
     ExperimentDef {
         name: "scale_channels",
         title: "Scaling: fig10 analytics across 1/2/4 DRAM channels, row vs GS layout",
         specs: scale_channels_specs,
         render: scale_channels_render,
+        flags: &["--tuples"],
     },
 ];
 
@@ -305,6 +339,28 @@ pub fn write_output(path: &str, contents: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Rejects any flag in `args` that neither `def` nor the sweep runner
+/// reads, so a misspelt knob fails instead of silently running the
+/// default size.
+pub fn check_flags(def: &ExperimentDef, args: &Args) -> Result<(), String> {
+    let known: Vec<listing::Entry> = (def.flags.iter().map(|f| listing::Entry::new(*f, "")))
+        .chain(
+            SWEEP_FLAGS
+                .iter()
+                .map(|f| listing::Entry::new(*f, "(every sweep)")),
+        )
+        .collect();
+    match args.flags().find(|f| !known.iter().any(|k| k.name == *f)) {
+        Some(bad) => Err(listing::unknown(
+            "flag",
+            bad,
+            &format!("flags {} reads", def.name),
+            &known,
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Runs the named experiment with standard output handling: prints the
 /// stats tree (unless `--quiet`), `--hist` adds per-run read-latency
 /// histograms, `--trace-out <path>` writes a Chrome trace-event JSON
@@ -314,6 +370,7 @@ pub fn write_output(path: &str, contents: &str) -> Result<(), String> {
 /// file) is byte-identical whether or not tracing was requested.
 pub fn run_named(name: &str, args: &Args) -> Result<StatsNode, String> {
     let def = resolve(name)?;
+    check_flags(def, args)?;
     let trace_out = args.value("--trace-out");
     let want_hist = args.flag("--hist");
     let node = if trace_out.is_some() || want_hist {
@@ -942,10 +999,8 @@ fn ablation_sectored_render(args: &Args, _outs: &[RunOutcome]) -> StatsNode {
         // to surface the writeback difference.
         let write = g % 4 == 0;
         if !tagged.probe(key, write) {
-            tagged.fill(key, vec![0; 8]);
-            if write {
-                tagged.probe(key, true);
-            }
+            let fill = if write { Fill::Store } else { Fill::Clean };
+            tagged.install(key, &[0; 8], fill);
         }
         for (w, addr) in calc.word_addresses(key, true).into_iter().enumerate() {
             if !sectored.probe(addr, write && w == 0) {
@@ -973,7 +1028,7 @@ fn ablation_sectored_render(args: &Args, _outs: &[RunOutcome]) -> StatsNode {
             StatsNode::new("pattern_tagged")
                 .counter("lookups", t.hits + t.misses)
                 .gauge("miss_rate", t.miss_rate())
-                .counter("resident_tag_entries", tagged.resident_keys().len() as u64)
+                .counter("resident_tag_entries", tagged.len() as u64)
                 .counter("tag_entries_per_gathered_line", 1)
                 .counter("rmw_writebacks", 0),
         )
@@ -1758,6 +1813,24 @@ mod tests {
         }
         let err = resolve("figg9").unwrap_err();
         assert!(err.contains("did you mean 'fig9'"), "{err}");
+    }
+
+    #[test]
+    fn check_flags_rejects_what_the_experiment_does_not_read() {
+        let fig9 = find("fig9").expect("registered");
+        let ok = Args::new(["sweep", "fig9", "--txns", "200", "--serial", "--json", "f"]);
+        assert_eq!(check_flags(fig9, &ok), Ok(()));
+        let err = check_flags(fig9, &Args::new(["sweep", "fig9", "--txn", "200"])).unwrap_err();
+        assert!(err.contains("unknown flag '--txn'"), "{err}");
+        assert!(err.contains("did you mean '--txns'"), "{err}");
+        let err = check_flags(fig9, &Args::new(["sweep", "fig9", "--lines", "9"])).unwrap_err();
+        assert!(
+            err.contains("flags fig9 reads:\n  --txns\n  --tuples\n"),
+            "{err}"
+        );
+        let fig7 = find("fig7").expect("registered");
+        let err = check_flags(fig7, &Args::new(["--tuples", "64"])).unwrap_err();
+        assert!(err.starts_with("unknown flag '--tuples'"), "{err}");
     }
 
     #[test]

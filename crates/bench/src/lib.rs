@@ -3,9 +3,8 @@
 //! The experiment engine: declarative run specs ([`spec`]), a registry
 //! mapping every figure/ablation/extension of DESIGN.md §5–§6 to its
 //! specs ([`experiments`]), a parallel sweep runner ([`sweep`]), shared
-//! command-line parsing ([`args`]), registry listing and "did you
-//! mean" errors ([`listing`]), and the micro-benchmark harness
-//! ([`micro`]) used by the `benches/` targets.
+//! command-line parsing ([`args`]), and registry listing and "did you
+//! mean" errors ([`listing`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -13,7 +12,6 @@
 pub mod args;
 pub mod experiments;
 pub mod listing;
-pub mod micro;
 pub mod spec;
 pub mod sweep;
 

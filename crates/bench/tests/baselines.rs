@@ -10,7 +10,7 @@
 use std::path::Path;
 
 use gsdram_bench::args::Args;
-use gsdram_bench::experiments::{find, run_experiment};
+use gsdram_bench::experiments::{check_flags, find, names, run_experiment};
 use gsdram_core::stats::StatsNode;
 
 /// `(experiment, args, baseline file)`: fig9/fig10 pin the default
@@ -107,9 +107,17 @@ const PINS: &[(&str, &[&str], &str)] = &[
 fn registry_json_matches_committed_baselines() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/baselines");
     let mut drifted = Vec::new();
+    for name in names() {
+        assert!(
+            PINS.iter().any(|&(pinned, _, _)| pinned == name),
+            "{name} has no pin"
+        );
+    }
     for &(name, argv, file) in PINS {
         let def = find(name).unwrap_or_else(|| panic!("{name}: not registered"));
-        let node = run_experiment(def, &Args::new(argv.iter().copied()));
+        let args = Args::new(argv.iter().copied());
+        check_flags(def, &args).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let node = run_experiment(def, &args);
         let want = std::fs::read_to_string(dir.join(file))
             .unwrap_or_else(|e| panic!("read baseline {file}: {e}"));
         if node.to_json_pretty() != want {

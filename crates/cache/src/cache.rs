@@ -127,13 +127,35 @@ pub struct EvictedLine {
     pub data: Vec<u64>,
 }
 
+/// How [`SetAssocCache::install`] marks the line it installs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fill {
+    /// A clean copy: a refill from the next level or from DRAM.
+    Clean,
+    /// A dirty copy handed down by a writeback; counts nothing.
+    Dirty,
+    /// A write-allocate store miss: the line is installed and then
+    /// written, so it is dirty, most recently used, and the store
+    /// counts as a hit (the miss was counted by the lookup before).
+    Store,
+}
+
 #[derive(Debug, Clone)]
 struct Slot {
-    valid: bool,
     key: LineKey,
     dirty: bool,
     lru: u64,
     data: Vec<u64>,
+}
+
+impl Slot {
+    fn evicted(self) -> EvictedLine {
+        EvictedLine {
+            key: self.key,
+            dirty: self.dirty,
+            data: self.data,
+        }
+    }
 }
 
 /// An LRU set-associative write-back, write-allocate cache with
@@ -144,11 +166,11 @@ struct Slot {
 /// use gsdram_core::PatternId;
 /// let mut c = SetAssocCache::new(CacheConfig::l1_32k());
 /// let key = LineKey::new(0x1000, 64, PatternId(7));
-/// assert!(!c.probe(key, false));
-/// c.fill(key, vec![0; 8]);
-/// assert!(c.probe(key, false));
+/// assert!(c.lookup(key, false).is_none());
+/// c.fill_from(key, &[5; 8]);
+/// assert_eq!(c.lookup(key, false).map(|line| line[0]), Some(5));
 /// // Same address under the default pattern is a different line.
-/// assert!(!c.probe(LineKey::new(0x1000, 64, PatternId(0)), false));
+/// assert!(c.lookup(LineKey::new(0x1000, 64, PatternId(0)), false).is_none());
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
@@ -194,69 +216,95 @@ impl SetAssocCache {
         cast::to_usize(line % cast::widen(self.sets.len()))
     }
 
-    /// Looks up `key`; on a hit updates LRU (and the dirty bit if
-    /// `write`) and returns `true`. Counts a hit or miss.
-    pub fn probe(&mut self, key: LineKey, write: bool) -> bool {
-        self.lru_gen += 1;
-        let gen = self.lru_gen;
+    /// The set and way holding `key`, if resident.
+    fn find(&self, key: LineKey) -> Option<(usize, usize)> {
         let set = self.set_index(key);
-        for slot in &mut self.sets[set] {
-            if slot.valid && slot.key == key {
-                slot.lru = gen;
-                if write {
-                    slot.dirty = true;
-                }
-                self.stats.hits += 1;
-                return true;
+        let way = self.sets[set].iter().position(|s| s.key == key)?;
+        Some((set, way))
+    }
+
+    /// Counts a hit on the slot at `(set, way)`: makes it most recently
+    /// used, dirties it on a write, and returns its words.
+    fn touch(&mut self, (set, way): (usize, usize), write: bool) -> &mut [u64] {
+        self.lru_gen += 1;
+        self.stats.hits += 1;
+        let slot = &mut self.sets[set][way];
+        slot.lru = self.lru_gen;
+        slot.dirty |= write;
+        &mut slot.data
+    }
+
+    /// Looks up `key`, counting a hit or a miss. On a hit the line
+    /// becomes most recently used (and dirty if `write`) and its words
+    /// are returned.
+    pub fn lookup(&mut self, key: LineKey, write: bool) -> Option<&mut [u64]> {
+        match self.find(key) {
+            Some(at) => Some(self.touch(at, write)),
+            None => {
+                self.lru_gen += 1;
+                self.stats.misses += 1;
+                None
             }
         }
-        self.stats.misses += 1;
-        false
+    }
+
+    /// A read [`SetAssocCache::lookup`] for a line that may have
+    /// arrived by another route: a hit counts as one, a miss leaves no
+    /// trace.
+    pub fn hit(&mut self, key: LineKey) -> Option<&mut [u64]> {
+        let at = self.find(key)?;
+        Some(self.touch(at, false))
+    }
+
+    /// [`SetAssocCache::lookup`] reduced to hit-or-miss.
+    pub fn probe(&mut self, key: LineKey, write: bool) -> bool {
+        self.lookup(key, write).is_some()
     }
 
     /// Whether `key` is present, without touching LRU or statistics.
     pub fn contains(&self, key: LineKey) -> bool {
-        let set = self.set_index(key);
-        self.sets[set].iter().any(|s| s.valid && s.key == key)
+        self.find(key).is_some()
     }
 
-    /// Whether `key` is present and dirty (no LRU/stat effects).
-    pub fn is_dirty(&self, key: LineKey) -> bool {
-        let set = self.set_index(key);
-        self.sets[set]
-            .iter()
-            .any(|s| s.valid && s.key == key && s.dirty)
+    /// Number of resident lines.
+    pub fn len(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
     }
 
-    /// Immutable view of a resident line's words.
+    /// Whether no line is resident.
+    pub fn is_empty(&self) -> bool {
+        self.sets.iter().all(Vec::is_empty)
+    }
+
+    /// Immutable view of a resident line's words (no LRU/stat effects).
     pub fn data(&self, key: LineKey) -> Option<&[u64]> {
-        let set = self.set_index(key);
-        self.sets[set]
-            .iter()
-            .find(|s| s.valid && s.key == key)
-            .map(|s| s.data.as_slice())
+        let (set, way) = self.find(key)?;
+        Some(&self.sets[set][way].data)
     }
 
-    /// Mutable view of a resident line's words; marks it dirty.
+    /// Mutable view of a resident line's words; marks it dirty (no
+    /// LRU/stat effects).
     pub fn data_mut(&mut self, key: LineKey) -> Option<&mut [u64]> {
-        let set = self.set_index(key);
-        self.sets[set]
-            .iter_mut()
-            .find(|s| s.valid && s.key == key)
-            .map(|s| {
-                s.dirty = true;
-                s.data.as_mut_slice()
-            })
+        let (set, way) = self.find(key)?;
+        let slot = &mut self.sets[set][way];
+        slot.dirty = true;
+        Some(&mut slot.data)
     }
 
-    /// Inserts a clean line, evicting the LRU way if the set is full.
-    /// Returns the eviction victim (with data, for writeback) if any.
+    /// Installs a copy of `data` as `key`, marked as `fill` says,
+    /// evicting the LRU way if the set is full. Returns the installed
+    /// words and the eviction victim (with data, for writeback) if any.
     ///
     /// # Panics
     ///
     /// Panics if `data` is not exactly one line of words, or the key is
-    /// already resident (fill must follow a miss).
-    pub fn fill(&mut self, key: LineKey, data: Vec<u64>) -> Option<EvictedLine> {
+    /// already resident (a fill must follow a miss).
+    pub fn install(
+        &mut self,
+        key: LineKey,
+        data: &[u64],
+        fill: Fill,
+    ) -> (&mut [u64], Option<EvictedLine>) {
         assert_eq!(
             data.len(),
             self.cfg.words_per_line(),
@@ -264,82 +312,87 @@ impl SetAssocCache {
         );
         assert!(!self.contains(key), "double fill of {key:?}");
         self.lru_gen += 1;
-        let gen = self.lru_gen;
         let set_idx = self.set_index(key);
-        let assoc = self.cfg.assoc;
-        let set = &mut self.sets[set_idx];
         let new_slot = Slot {
-            valid: true,
             key,
-            dirty: false,
-            lru: gen,
-            data,
+            dirty: fill != Fill::Clean,
+            lru: self.lru_gen,
+            data: data.to_vec(),
         };
-        if set.len() < assoc {
-            set.push(new_slot);
-            return None;
-        }
-        // Evict the LRU valid slot (or reuse an invalid one).
-        if let Some(pos) = set.iter().position(|s| !s.valid) {
-            set[pos] = new_slot;
-            return None;
-        }
-        let pos = set
-            .iter()
-            .enumerate()
+        let set = &mut self.sets[set_idx];
+        // A full set gives up its least recently used way.
+        let lru_way = (set.iter().enumerate())
             .min_by_key(|(_, s)| s.lru)
-            .map(|(i, _)| i)
-            // gsdram-lint: allow(D4) set.len() == assoc >= 1 on this path
-            .expect("set is non-empty");
-        let victim = std::mem::replace(&mut set[pos], new_slot);
-        self.stats.evictions += 1;
-        if victim.dirty {
-            self.stats.writebacks += 1;
+            .map(|(way, _)| way)
+            .filter(|_| set.len() >= self.cfg.assoc);
+        let (way, victim) = match lru_way {
+            Some(way) => {
+                let victim = std::mem::replace(&mut set[way], new_slot);
+                self.stats.evictions += 1;
+                self.stats.writebacks += u64::from(victim.dirty);
+                (way, Some(victim.evicted()))
+            }
+            None => {
+                set.push(new_slot);
+                (set.len() - 1, None)
+            }
+        };
+        if fill == Fill::Store {
+            return (self.touch((set_idx, way), true), victim);
         }
-        Some(EvictedLine {
-            key: victim.key,
-            dirty: victim.dirty,
-            data: victim.data,
-        })
+        (&mut self.sets[set_idx][way].data, victim)
     }
 
-    /// [`SetAssocCache::fill`] from a borrowed line: callers holding a
-    /// scratch buffer (the DRAM bridge's line path) install a copy
-    /// without first cloning into an owned `Vec` at the call site.
+    /// Installs a clean copy of `data` as `key`; returns the eviction
+    /// victim, if any. [`SetAssocCache::install`] with [`Fill::Clean`].
     ///
     /// # Panics
     ///
-    /// As [`SetAssocCache::fill`].
+    /// As [`SetAssocCache::install`].
     pub fn fill_from(&mut self, key: LineKey, data: &[u64]) -> Option<EvictedLine> {
-        self.fill(key, data.to_vec())
+        self.install(key, data, Fill::Clean).1
+    }
+
+    /// Removes the slot at `(set, way)`, counting an invalidation (and a
+    /// writeback when dirty).
+    fn remove(&mut self, (set, way): (usize, usize)) -> EvictedLine {
+        let victim = self.sets[set].swap_remove(way);
+        self.stats.invalidations += 1;
+        self.stats.writebacks += u64::from(victim.dirty);
+        victim.evicted()
     }
 
     /// Removes `key` if present; returns it (for writeback when dirty).
     pub fn invalidate(&mut self, key: LineKey) -> Option<EvictedLine> {
-        let set = self.set_index(key);
-        let pos = self.sets[set]
-            .iter()
-            .position(|s| s.valid && s.key == key)?;
-        let victim = self.sets[set].swap_remove(pos);
-        self.stats.invalidations += 1;
-        if victim.dirty {
-            self.stats.writebacks += 1;
-        }
-        Some(EvictedLine {
-            key: victim.key,
-            dirty: victim.dirty,
-            data: victim.data,
-        })
+        let at = self.find(key)?;
+        Some(self.remove(at))
     }
 
-    /// All resident keys (diagnostics/tests).
-    pub fn resident_keys(&self) -> Vec<LineKey> {
-        self.sets
-            .iter()
-            .flatten()
-            .filter(|s| s.valid)
-            .map(|s| s.key)
-            .collect()
+    /// Removes `key` if present *and dirty*, counting exactly as
+    /// [`SetAssocCache::invalidate`] does; a clean copy stays.
+    pub fn take_if_dirty(&mut self, key: LineKey) -> Option<EvictedLine> {
+        let at = self
+            .find(key)
+            .filter(|&(set, way)| self.sets[set][way].dirty)?;
+        Some(self.remove(at))
+    }
+
+    /// Removes every dirty line, appending it to `out` in set order and
+    /// way order within a set, counting each as
+    /// [`SetAssocCache::invalidate`] does. Clean lines stay, in order.
+    pub fn drain_dirty_into(&mut self, out: &mut Vec<EvictedLine>) {
+        for set in &mut self.sets {
+            let mut way = 0;
+            while way < set.len() {
+                if set[way].dirty {
+                    self.stats.invalidations += 1;
+                    self.stats.writebacks += 1;
+                    out.push(set.remove(way).evicted());
+                } else {
+                    way += 1;
+                }
+            }
+        }
     }
 }
 
@@ -372,7 +425,7 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut c = tiny();
         assert!(!c.probe(key(0), false));
-        c.fill(key(0), vec![1; 8]);
+        c.fill_from(key(0), &[1; 8]);
         assert!(c.probe(key(0), false));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
@@ -384,8 +437,8 @@ mod tests {
         let mut c = tiny();
         let a = LineKey::new(0, 64, PatternId(0));
         let b = LineKey::new(0, 64, PatternId(7));
-        c.fill(a, vec![1; 8]);
-        c.fill(b, vec![2; 8]);
+        c.fill_from(a, &[1; 8]);
+        c.fill_from(b, &[2; 8]);
         assert_eq!(c.data(a).unwrap(), &[1; 8]);
         assert_eq!(c.data(b).unwrap(), &[2; 8]);
     }
@@ -394,10 +447,10 @@ mod tests {
     fn lru_evicts_least_recent() {
         let mut c = tiny();
         // Lines mapping to set 0: addresses 0, 256, 512 (4 sets × 64 B).
-        c.fill(key(0), vec![0; 8]);
-        c.fill(key(256), vec![1; 8]);
+        c.fill_from(key(0), &[0; 8]);
+        c.fill_from(key(256), &[1; 8]);
         c.probe(key(0), false); // 0 becomes MRU
-        let ev = c.fill(key(512), vec![2; 8]).expect("must evict");
+        let ev = c.fill_from(key(512), &[2; 8]).expect("must evict");
         assert_eq!(ev.key, key(256));
         assert!(c.contains(key(0)));
         assert!(c.contains(key(512)));
@@ -408,10 +461,10 @@ mod tests {
     #[test]
     fn dirty_eviction_reports_writeback() {
         let mut c = tiny();
-        c.fill(key(0), vec![0; 8]);
+        c.fill_from(key(0), &[0; 8]);
         c.probe(key(0), true); // dirty
-        c.fill(key(256), vec![1; 8]);
-        let ev = c.fill(key(512), vec![2; 8]).expect("must evict");
+        c.fill_from(key(256), &[1; 8]);
+        let ev = c.fill_from(key(512), &[2; 8]).expect("must evict");
         assert_eq!(ev.key, key(0));
         assert!(ev.dirty);
         assert_eq!(c.stats().writebacks, 1);
@@ -420,25 +473,136 @@ mod tests {
     #[test]
     fn write_probe_marks_dirty() {
         let mut c = tiny();
-        c.fill(key(0), vec![0; 8]);
-        assert!(!c.is_dirty(key(0)));
+        c.fill_from(key(0), &[0; 8]);
+        assert!(c.take_if_dirty(key(0)).is_none());
         c.probe(key(0), true);
-        assert!(c.is_dirty(key(0)));
+        assert!(c.take_if_dirty(key(0)).is_some());
     }
 
     #[test]
     fn data_mut_marks_dirty() {
         let mut c = tiny();
-        c.fill(key(0), vec![0; 8]);
+        c.fill_from(key(0), &[0; 8]);
         c.data_mut(key(0)).unwrap()[3] = 99;
-        assert!(c.is_dirty(key(0)));
         assert_eq!(c.data(key(0)).unwrap()[3], 99);
+        assert!(c.take_if_dirty(key(0)).is_some());
+    }
+
+    #[test]
+    fn lookup_counts_hits_and_misses() {
+        let mut c = tiny();
+        assert!(c.lookup(key(0), false).is_none());
+        c.fill_from(key(0), &[4; 8]);
+        c.lookup(key(0), true).unwrap()[1] = 9;
+        assert_eq!(c.lookup(key(0), false).unwrap()[..2], [4, 9]);
+        assert!(c.lookup(key(64), false).is_none());
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (2, 2));
+        assert!(c.take_if_dirty(key(0)).is_some(), "a write lookup dirties");
+    }
+
+    #[test]
+    fn hit_counts_only_hits() {
+        let mut c = tiny();
+        assert!(c.hit(key(0)).is_none());
+        c.fill_from(key(0), &[3; 8]);
+        assert_eq!(c.hit(key(0)).unwrap()[0], 3);
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 0));
+    }
+
+    #[test]
+    fn install_marks_as_asked() {
+        let mut c = tiny();
+        let (line, victim) = c.install(key(0), &[1; 8], Fill::Store);
+        line[2] = 5;
+        assert!(victim.is_none());
+        c.install(key(64), &[2; 8], Fill::Dirty);
+        c.install(key(128), &[3; 8], Fill::Clean);
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 0));
+        assert_eq!(c.take_if_dirty(key(0)).unwrap().data[2], 5);
+        assert_eq!(c.take_if_dirty(key(64)).unwrap().data, vec![2; 8]);
+        assert!(c.take_if_dirty(key(128)).is_none());
+    }
+
+    #[test]
+    fn store_install_is_most_recently_used() {
+        let mut c = tiny();
+        c.fill_from(key(0), &[0; 8]);
+        c.install(key(256), &[1; 8], Fill::Store);
+        c.probe(key(0), false); // 0 becomes MRU again
+        let ev = c.fill_from(key(512), &[2; 8]).expect("must evict");
+        assert_eq!(ev.key, key(256));
+        assert!(ev.dirty);
+    }
+
+    #[test]
+    fn take_if_dirty_leaves_clean_lines_and_counts_like_invalidate() {
+        let mut c = tiny();
+        c.fill_from(key(0), &[1; 8]);
+        c.fill_from(key(64), &[2; 8]);
+        c.probe(key(64), true);
+        assert!(c.take_if_dirty(key(0)).is_none());
+        assert!(c.take_if_dirty(key(128)).is_none());
+        assert!(c.contains(key(0)));
+        assert_eq!(c.stats().invalidations, 0);
+        let ev = c.take_if_dirty(key(64)).unwrap();
+        assert_eq!((ev.key, ev.dirty, ev.data), (key(64), true, vec![2; 8]));
+        assert!(!c.contains(key(64)));
+
+        let mut d = tiny();
+        d.fill_from(key(64), &[2; 8]);
+        d.probe(key(64), true);
+        d.invalidate(key(64));
+        assert_eq!(c.stats().invalidations, d.stats().invalidations);
+        assert_eq!(c.stats().writebacks, d.stats().writebacks);
+    }
+
+    #[test]
+    fn drain_dirty_into_returns_set_then_way_order() {
+        let mut c = tiny();
+        // Set 0 gets 256 then 0; set 1 gets 64; set 2 gets 128 (clean).
+        for (a, v) in [(256, 1), (0, 2), (64, 3), (128, 4)] {
+            c.fill_from(key(a), &[v; 8]);
+        }
+        for a in [0, 64, 256] {
+            c.probe(key(a), true);
+        }
+        let mut out = Vec::new();
+        c.drain_dirty_into(&mut out);
+        let order: Vec<(u64, u64)> = out.iter().map(|e| (e.key.addr, e.data[0])).collect();
+        assert_eq!(order, vec![(256, 1), (0, 2), (64, 3)]);
+        assert!(out.iter().all(|e| e.dirty));
+        assert_eq!(c.len(), 1);
+        assert!(c.contains(key(128)));
+        assert_eq!(c.stats().invalidations, 3);
+        assert_eq!(c.stats().writebacks, 3);
+        c.drain_dirty_into(&mut out);
+        assert_eq!(out.len(), 3, "a drained cache is clean");
+
+        // Way order within one 4-way set, dirty lines on both sides of
+        // a clean one.
+        let mut one_set = SetAssocCache::new(CacheConfig {
+            size_bytes: 256,
+            assoc: 4,
+            line_bytes: 64,
+            latency: 1,
+        });
+        for a in [0, 64, 128, 192] {
+            one_set.fill_from(key(a), &[a; 8]);
+        }
+        for a in [0, 128, 192] {
+            one_set.probe(key(a), true);
+        }
+        let mut out = Vec::new();
+        one_set.drain_dirty_into(&mut out);
+        let order: Vec<u64> = out.iter().map(|e| e.key.addr).collect();
+        assert_eq!(order, vec![0, 128, 192]);
     }
 
     #[test]
     fn invalidate_returns_dirty_line() {
         let mut c = tiny();
-        c.fill(key(0), vec![7; 8]);
+        c.fill_from(key(0), &[7; 8]);
         c.probe(key(0), true);
         let ev = c.invalidate(key(0)).unwrap();
         assert!(ev.dirty);
@@ -461,18 +625,19 @@ mod tests {
     fn miss_rate_computation() {
         let mut c = tiny();
         c.probe(key(0), false);
-        c.fill(key(0), vec![0; 8]);
+        c.fill_from(key(0), &[0; 8]);
         c.probe(key(0), false);
         assert!((c.stats().miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn resident_keys_lists_contents() {
+    fn len_counts_resident_lines() {
         let mut c = tiny();
-        c.fill(key(0), vec![0; 8]);
-        c.fill(key(64), vec![0; 8]);
-        let mut keys = c.resident_keys();
-        keys.sort();
-        assert_eq!(keys, vec![key(0), key(64)]);
+        assert!(c.is_empty());
+        c.fill_from(key(0), &[0; 8]);
+        c.fill_from(key(64), &[0; 8]);
+        assert_eq!(c.len(), 2);
+        c.invalidate(key(0));
+        assert_eq!(c.len(), 1);
     }
 }

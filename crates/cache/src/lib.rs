@@ -21,7 +21,7 @@
 //!
 //! let mut l1 = SetAssocCache::new(CacheConfig::l1_32k());
 //! let tuple = LineKey::new(0x40, 64, PatternId(0));
-//! l1.fill(tuple, vec![0; 8]);
+//! l1.fill_from(tuple, &[0; 8]);
 //!
 //! // A stride-8 gathered line overlapping that tuple:
 //! let calc = OverlapCalc::new(GsDramConfig::gs_dram_8_3_3(), 64, 128);

@@ -4,18 +4,20 @@
 //! deterministic PRNG ([`gsdram_core::rng::SplitMix`]) instead of
 //! `proptest`, keeping the workspace dependency-free.
 
-use gsdram_cache::cache::{CacheConfig, LineKey, SetAssocCache};
+use gsdram_cache::cache::{CacheConfig, CacheStats, LineKey, SetAssocCache};
 use gsdram_cache::dbi::DirtyBlockIndex;
 use gsdram_cache::prefetch::StridePrefetcher;
 use gsdram_core::rng::SplitMix;
 use gsdram_core::PatternId;
 use std::collections::HashMap;
 
-/// The abstract cache: per-set most-recent-first key lists + contents.
+/// The abstract cache: per-set most-recent-first key lists + contents,
+/// plus the counters the real cache must report.
 struct RefCacheModel {
     cfg: CacheConfig,
     sets: Vec<Vec<LineKey>>, // MRU first
     data: HashMap<LineKey, (Vec<u64>, bool)>,
+    stats: CacheStats,
 }
 
 impl RefCacheModel {
@@ -24,6 +26,7 @@ impl RefCacheModel {
             cfg,
             sets: vec![Vec::new(); cfg.sets()],
             data: HashMap::new(),
+            stats: CacheStats::default(),
         }
     }
 
@@ -39,8 +42,10 @@ impl RefCacheModel {
             if write {
                 self.data.get_mut(&key).expect("resident").1 = true;
             }
+            self.stats.hits += 1;
             true
         } else {
+            self.stats.misses += 1;
             false
         }
     }
@@ -50,6 +55,8 @@ impl RefCacheModel {
         let victim = if self.sets[s].len() == self.cfg.assoc {
             let v = self.sets[s].pop().expect("full set");
             let (d, dirty) = self.data.remove(&v).expect("resident");
+            self.stats.evictions += 1;
+            self.stats.writebacks += dirty as u64;
             Some((v, dirty, d))
         } else {
             None
@@ -64,7 +71,17 @@ impl RefCacheModel {
         let pos = self.sets[s].iter().position(|k| *k == key)?;
         self.sets[s].remove(pos);
         let (d, dirty) = self.data.remove(&key).expect("resident");
+        self.stats.invalidations += 1;
+        self.stats.writebacks += dirty as u64;
         Some((key, dirty, d))
+    }
+
+    fn take_if_dirty(&mut self, key: LineKey) -> Option<(LineKey, bool, Vec<u64>)> {
+        if self.data.get(&key)?.1 {
+            self.invalidate(key)
+        } else {
+            None
+        }
     }
 }
 
@@ -83,6 +100,16 @@ enum CacheOp {
         line: u8,
         pattern: bool,
     },
+    Lookup {
+        line: u8,
+        pattern: bool,
+        write: bool,
+    },
+    TakeIfDirty {
+        line: u8,
+        pattern: bool,
+    },
+    DrainDirty,
     WriteData {
         line: u8,
         pattern: bool,
@@ -96,14 +123,21 @@ fn random_ops(rng: &mut SplitMix) -> Vec<CacheOp> {
         .map(|_| {
             let line = rng.below(256) as u8;
             let pattern = rng.flip();
-            match rng.below(4) {
+            match rng.below(8) {
                 0 => CacheOp::Probe {
                     line,
                     pattern,
                     write: rng.flip(),
                 },
-                1 => CacheOp::Fill { line, pattern },
-                2 => CacheOp::Invalidate { line, pattern },
+                1 | 2 => CacheOp::Fill { line, pattern },
+                3 => CacheOp::Invalidate { line, pattern },
+                4 => CacheOp::Lookup {
+                    line,
+                    pattern,
+                    write: rng.flip(),
+                },
+                5 => CacheOp::TakeIfDirty { line, pattern },
+                6 if rng.below(8) == 0 => CacheOp::DrainDirty,
                 _ => CacheOp::WriteData {
                     line,
                     pattern,
@@ -123,7 +157,8 @@ fn key_of(line: u8, pattern: bool) -> LineKey {
 }
 
 /// The real cache behaves exactly like the abstract LRU model: same
-/// hits, same eviction victims, same data, same dirty bits.
+/// hits, same eviction victims, same data, same dirty bits, same
+/// counters.
 #[test]
 fn cache_matches_reference_model() {
     let mut rng = SplitMix(0xCAC1);
@@ -160,7 +195,7 @@ fn cache_matches_reference_model() {
                     }
                     fill_counter += 1;
                     let data = vec![fill_counter; 8];
-                    let r = real.fill(key, data.clone());
+                    let r = real.fill_from(key, &data);
                     let m = model.fill(key, data);
                     match (r, m) {
                         (None, None) => {}
@@ -187,6 +222,46 @@ fn cache_matches_reference_model() {
                         assert_eq!(re.data, mdata);
                     }
                 }
+                CacheOp::Lookup {
+                    line,
+                    pattern,
+                    write,
+                } => {
+                    let key = key_of(line, pattern);
+                    let r = real.lookup(key, write).map(|d| d.to_vec());
+                    let m = model.probe(key, write).then(|| model.data[&key].0.clone());
+                    assert_eq!(r, m, "lookup {key:?}");
+                }
+                CacheOp::TakeIfDirty { line, pattern } => {
+                    let key = key_of(line, pattern);
+                    let r = real.take_if_dirty(key);
+                    let m = model.take_if_dirty(key);
+                    assert_eq!(
+                        r.map(|e| (e.key, e.dirty, e.data)),
+                        m,
+                        "take_if_dirty {key:?}"
+                    );
+                }
+                CacheOp::DrainDirty => {
+                    let mut out = Vec::new();
+                    real.drain_dirty_into(&mut out);
+                    let sets: Vec<usize> = out.iter().map(|e| model.set_of(e.key)).collect();
+                    assert!(sets.is_sorted(), "drain must go set by set: {sets:?}");
+                    let mut want: Vec<LineKey> = model
+                        .data
+                        .iter()
+                        .filter(|(_, (_, dirty))| *dirty)
+                        .map(|(k, _)| *k)
+                        .collect();
+                    want.sort_by_key(|k| (model.set_of(*k), *k));
+                    let mut got: Vec<LineKey> = out.iter().map(|e| e.key).collect();
+                    got.sort_by_key(|k| (model.set_of(*k), *k));
+                    assert_eq!(got, want, "drained keys");
+                    for e in out {
+                        let m = model.invalidate(e.key).expect("model resident");
+                        assert_eq!((e.dirty, e.data), (m.1, m.2), "drained {:?}", e.key);
+                    }
+                }
                 CacheOp::WriteData {
                     line,
                     pattern,
@@ -202,6 +277,7 @@ fn cache_matches_reference_model() {
                     }
                 }
             }
+            assert_eq!(real.stats(), model.stats, "case {case}: counters");
             // Residency agrees after every step.
             for l in 0..=255u8 {
                 for p in [false, true] {
@@ -216,8 +292,8 @@ fn cache_matches_reference_model() {
         }
         // Stats sanity: the cache never holds more lines than capacity.
         let cap = cfg.sets() * cfg.assoc;
-        assert!(real.resident_keys().len() <= cap);
-        assert_eq!(real.resident_keys().len(), model.data.len());
+        assert!(real.len() <= cap);
+        assert_eq!(real.len(), model.data.len());
     }
 }
 

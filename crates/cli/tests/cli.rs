@@ -100,6 +100,10 @@ fn unknown_flag_values_fail_with_a_suggestion() {
             "unknown --mix",
         ),
         (&["analytcs"][..], "did you mean 'analytics'"),
+        (
+            &["sweep", "fig9", "--txn", "200"][..],
+            "did you mean '--txns'",
+        ),
     ] {
         let out = gsdram_sim(args);
         assert!(!out.status.success(), "{args:?} must fail");
@@ -107,4 +111,20 @@ fn unknown_flag_values_fail_with_a_suggestion() {
         assert!(stderr.contains(hint), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} ran before failing");
     }
+}
+
+/// A sweep flag the experiment does not read is an error, and no JSON
+/// gets written.
+#[test]
+fn sweep_rejects_flags_the_experiment_does_not_read() {
+    let path: PathBuf = [env!("CARGO_TARGET_TMPDIR"), "cli-sweep-bogus.json"]
+        .iter()
+        .collect();
+    let _ = std::fs::remove_file(&path);
+    let json = path.to_str().expect("utf-8 path");
+    let out = gsdram_sim(&["sweep", "fig9", "--bogus", "3", "--json", json]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag '--bogus'"), "{stderr}");
+    assert!(!path.exists(), "a rejected sweep wrote {json}");
 }

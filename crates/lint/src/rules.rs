@@ -58,7 +58,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "D2",
         summary: "no ambient-nondeterminism APIs (std::time, Instant, SystemTime, rand, \
-                  thread_rng, RandomState) outside waived bench plumbing",
+                  thread_rng, RandomState) outside tests",
     },
     RuleInfo {
         id: "D3",
@@ -275,7 +275,7 @@ fn check_hash_containers(f: &SourceFile, report: &mut Report) {
     }
 }
 
-/// D2: wall-clock and entropy APIs outside the bench harness.
+/// D2: wall-clock and entropy APIs outside tests.
 fn check_ambient_nondeterminism(f: &SourceFile, report: &mut Report) {
     if f.class.kind == FileKind::Test {
         return;

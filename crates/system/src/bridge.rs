@@ -24,7 +24,7 @@
 //! sub-request expansion reuse per-bridge scratch buffers, so
 //! steady-state fetch/writeback traffic does not allocate.
 
-use gsdram_cache::cache::LineKey;
+use gsdram_cache::cache::{Fill, LineKey};
 use gsdram_cache::overlap::OverlapCalc;
 use gsdram_core::port::{EventHub, MemReq, SimEvent};
 use gsdram_core::stats::{ReportStats, StatsNode};
@@ -38,6 +38,7 @@ use gsdram_dram::mapping::AddressMap;
 use gsdram_telemetry::Histogram;
 
 use crate::config::{GatherSupport, SystemConfig};
+use crate::hier::fill_l2;
 use crate::machine::Machine;
 use crate::ops::Program;
 use crate::page::PageTable;
@@ -62,7 +63,6 @@ struct Outstanding {
     subs: u64,
     key: LineKey,
     shuffled: bool,
-    demand: bool,
     waiters: Vec<Waiter>,
     /// Sub-requests still in flight.
     remaining: usize,
@@ -78,9 +78,6 @@ pub(crate) struct FetchDone {
     pub(crate) key: LineKey,
     /// Whether the line travelled the shuffle datapath.
     pub(crate) shuffled: bool,
-    /// Whether a demand access (vs only a prefetch) requested it.
-    #[allow(dead_code)]
-    pub(crate) demand: bool,
     /// Cores to wake and requests to finish.
     pub(crate) waiters: Vec<Waiter>,
     /// Completion time of the slowest sub-request (mem cycles).
@@ -223,13 +220,6 @@ impl DramBridge {
         (row, cast::index(col.0) * self.chips + word)
     }
 
-    /// Which word-address semantics a line uses (see
-    /// [`crate::coherence::CoherenceEngine::addr_semantics`]).
-    fn addr_semantics(&self, pages: &PageTable, key: LineKey) -> bool {
-        let shuffled = pages.info(key.addr).shuffle;
-        shuffled || (self.gather == GatherSupport::Impulse && !key.pattern.is_default())
-    }
-
     /// Writes `value` at `addr` directly into the DRAM module.
     pub(crate) fn poke(&mut self, pages: &PageTable, addr: u64, value: u64) {
         let shuffled = pages.info(addr).shuffle;
@@ -286,7 +276,7 @@ impl DramBridge {
         data: &[u64],
     ) -> Result<(), AccessError> {
         let shuffled = pages.info(key.addr).shuffle;
-        let sem = self.addr_semantics(pages, key);
+        let sem = self.gather.addr_semantics(shuffled, key.pattern);
         if sem == shuffled {
             let (row, col, _) = self.row_col(key.addr);
             return self
@@ -318,7 +308,7 @@ impl DramBridge {
         out: &mut Vec<u64>,
     ) -> Result<(), AccessError> {
         let shuffled = pages.info(key.addr).shuffle;
-        let sem = self.addr_semantics(pages, key);
+        let sem = self.gather.addr_semantics(shuffled, key.pattern);
         if sem == shuffled {
             let (row, col, _) = self.row_col(key.addr);
             return self
@@ -362,6 +352,45 @@ impl DramBridge {
     /// Enqueues the DRAM write(s) backing a line writeback (timing
     /// only; pair with [`DramBridge::write_line`] for the function).
     pub(crate) fn enqueue_write(&mut self, key: LineKey, at_cpu: u64, events: &mut EventHub) {
+        self.enqueue_subs(key, AccessKind::Write, at_cpu, events);
+    }
+
+    /// Enqueues the DRAM fetch(es) backing a line fetch and registers
+    /// the logical outstanding entry.
+    pub(crate) fn enqueue_fetch(
+        &mut self,
+        key: LineKey,
+        shuffled: bool,
+        waiters: Vec<Waiter>,
+        at_cpu: u64,
+        events: &mut EventHub,
+    ) {
+        // The sub-requests take the ids right after the fetch's own, so
+        // a completion finds its fetch by range.
+        let id = self.alloc_req_id();
+        let subs = self.enqueue_subs(key, AccessKind::Read, at_cpu, events);
+        self.outstanding.push(Outstanding {
+            id,
+            subs: cast::widen(subs),
+            key,
+            shuffled,
+            waiters,
+            remaining: subs,
+            done_at: 0,
+        });
+    }
+
+    /// Enqueues one `kind` sub-request per [`collect_subs`] entry (each
+    /// taking the next request id) and returns how many.
+    ///
+    /// [`collect_subs`]: DramBridge::collect_subs
+    fn enqueue_subs(
+        &mut self,
+        key: LineKey,
+        kind: AccessKind,
+        at_cpu: u64,
+        events: &mut EventHub,
+    ) -> usize {
         let mut subs = std::mem::take(&mut self.sub_buf);
         self.collect_subs(key, &mut subs);
         if subs.len() > 1 {
@@ -373,6 +402,7 @@ impl DramBridge {
                 at_mem,
             });
         }
+        let write = kind == AccessKind::Write;
         for &(a, pattern) in &subs {
             // One decompose drives both routing and coordinates: the
             // map's channel stage picks the controller (under the
@@ -387,80 +417,26 @@ impl DramBridge {
                 id,
                 loc,
                 pattern,
-                kind: AccessKind::Write,
+                kind,
             };
-            self.loads[ch].writes += 1;
+            if write {
+                self.loads[ch].writes += 1;
+            } else {
+                self.loads[ch].reads += 1;
+            }
             self.controllers[ch].enqueue(req, at);
             events.emit(|| SimEvent::DramEnqueue {
                 id,
                 channel: ch,
                 addr: a,
                 pattern,
-                write: true,
+                write,
                 at_mem: at,
             });
         }
+        let n = subs.len();
         self.sub_buf = subs;
-    }
-
-    /// Enqueues the DRAM fetch(es) backing a line fetch and registers
-    /// the logical outstanding entry.
-    pub(crate) fn enqueue_fetch(
-        &mut self,
-        key: LineKey,
-        shuffled: bool,
-        demand: bool,
-        waiters: Vec<Waiter>,
-        at_cpu: u64,
-        events: &mut EventHub,
-    ) {
-        let mut subs = std::mem::take(&mut self.sub_buf);
-        self.collect_subs(key, &mut subs);
-        if subs.len() > 1 {
-            let (at_mem, n) = (self.to_mem(at_cpu), cast::len_to_u32(subs.len()));
-            events.emit(|| SimEvent::GatherSplit {
-                addr: key.addr,
-                pattern: key.pattern,
-                subs: n,
-                at_mem,
-            });
-        }
-        // The sub-requests take the ids right after the fetch's own, so
-        // a completion finds its fetch by range.
-        let id = self.alloc_req_id();
-        self.outstanding.push(Outstanding {
-            id,
-            subs: cast::widen(subs.len()),
-            key,
-            shuffled,
-            demand,
-            waiters,
-            remaining: subs.len(),
-            done_at: 0,
-        });
-        for &(a, pattern) in &subs {
-            let loc = self.map.decompose(a);
-            let ch = loc.channel;
-            let at = self.to_mem(at_cpu).max(self.controllers[ch].now());
-            let id = self.alloc_req_id();
-            let req = MemRequest {
-                id,
-                loc,
-                pattern,
-                kind: AccessKind::Read,
-            };
-            self.loads[ch].reads += 1;
-            self.controllers[ch].enqueue(req, at);
-            events.emit(|| SimEvent::DramEnqueue {
-                id,
-                channel: ch,
-                addr: a,
-                pattern,
-                write: false,
-                at_mem: at,
-            });
-        }
-        self.sub_buf = subs;
+        n
     }
 
     /// Whether a fetch of `key` is already in flight.
@@ -468,18 +444,18 @@ impl DramBridge {
         self.outstanding.iter().any(|o| o.key == key)
     }
 
-    /// Attaches `waiter` to an in-flight fetch of `key` (promoting it
-    /// to a demand fetch). Returns `false` if none is in flight.
+    /// Attaches `waiter` to an in-flight fetch of `key`. Returns
+    /// `false` if none is in flight.
     pub(crate) fn attach_waiter(&mut self, key: LineKey, waiter: Waiter) -> bool {
         let Some(out) = self.outstanding.iter_mut().find(|o| o.key == key) else {
             return false;
         };
-        out.demand = true;
         out.waiters.push(waiter);
         true
     }
 
-    /// Advances every channel to `t_mem`, one controller after another.
+    /// Advances every channel (clock and energy cursor) to `t_mem`, one
+    /// controller after another.
     pub(crate) fn advance_all(&mut self, t_mem: u64, events: &mut EventHub) {
         for c in &mut self.controllers {
             c.advance_observed(t_mem, events);
@@ -505,16 +481,6 @@ impl DramBridge {
     /// per-op sync path can use it as a leap guard.
     pub(crate) fn quiescent_until(&self, t_mem: u64) -> bool {
         self.controllers.iter().all(|c| c.quiescent_until(t_mem))
-    }
-
-    /// Leaps every channel's clock (and energy cursor) to `t_mem`.
-    /// Equivalent to [`advance_channel`](Self::advance_channel) on each
-    /// channel; meant for the quiescent case where the caller skips
-    /// completion polling entirely.
-    pub(crate) fn leap_to(&mut self, t_mem: u64, events: &mut EventHub) {
-        for c in &mut self.controllers {
-            c.advance_observed(t_mem, events);
-        }
     }
 
     /// Drains the completions due by `t_mem` on channel `ch` into
@@ -565,7 +531,6 @@ impl DramBridge {
         Some(FetchDone {
             key: out.key,
             shuffled: out.shuffled,
-            demand: out.demand,
             waiters: out.waiters,
             done_at: out.done_at,
         })
@@ -634,39 +599,28 @@ impl Machine {
             0
         };
 
-        // Fill L2 (unless a writeback landed the line there meanwhile).
-        let mut buf = std::mem::take(&mut self.line_buf);
-        if self.hier.l2.contains(done.key) {
-            self.hier.l2.probe(done.key, false);
-            buf.clear();
-            // gsdram-lint: allow(D4) contains() held on the line above
-            buf.extend_from_slice(self.hier.l2.data(done.key).expect("resident"));
+        // Fill L2, unless a writeback re-installed the line meanwhile:
+        // that copy is newer, and taking it counts as an L2 hit.
+        if let Some(line) = self.hier.l2.hit(done.key) {
+            self.line_buf.clear();
+            self.line_buf.extend_from_slice(line);
         } else {
-            self.bridge.read_line_into(&self.pages, done.key, &mut buf);
-            self.hier
-                .fill_l2(done.key, &buf, &mut self.wb, &mut self.events);
+            self.bridge
+                .read_line_into(&self.pages, done.key, &mut self.line_buf);
+            fill_l2(
+                &mut self.hier.l2,
+                done.key,
+                &self.line_buf,
+                Fill::Clean,
+                &mut self.wb,
+                &mut self.events,
+            );
             self.drain_writebacks(done_cpu);
         }
 
+        let wake = done_cpu + self.cfg.l1.latency + shuffle_penalty;
         for w in done.waiters {
-            let wake = done_cpu + self.cfg.l1.latency + shuffle_penalty;
-            if !self.hier.l1[w.core].contains(done.key) {
-                self.hier
-                    .fill_l1(w.core, done.key, &buf, &mut self.wb, &mut self.events);
-                self.drain_writebacks(done_cpu);
-            }
-            let word = w.req.word_index(64);
-            let value = if let Some(v) = w.req.store_value() {
-                self.invalidate_overlaps_on_store(w.core, done.key, done_cpu);
-                self.hier.l1[w.core].probe(done.key, true);
-                // gsdram-lint: allow(D4) fill_l1 ran above for any core missing the line
-                let d = self.hier.l1[w.core].data_mut(done.key).expect("filled");
-                d[word] = v;
-                v
-            } else {
-                // gsdram-lint: allow(D4) fill_l1 ran above for any core missing the line
-                self.hier.l1[w.core].data(done.key).expect("filled")[word]
-            };
+            let value = self.serve_from_line_buf(w.core, done.key, &w.req, done_cpu);
             if w.req.store_value().is_none() {
                 programs[w.core].on_load_value(value);
             }
@@ -674,7 +628,6 @@ impl Machine {
             core.waiting = false;
             core.time = core.time.max(wake);
         }
-        self.line_buf = buf;
     }
 
     /// Advances the memory system to CPU time `t`, delivering any
@@ -685,7 +638,7 @@ impl Machine {
             // Every channel's horizon proves nothing can issue and no
             // completion comes due by `t_mem`: leap the clocks and skip
             // the completion-polling loop.
-            self.bridge.leap_to(t_mem, &mut self.events);
+            self.bridge.advance_all(t_mem, &mut self.events);
             return;
         }
         // Advance every channel to the horizon first, then drain and

@@ -49,15 +49,6 @@ impl CoherenceEngine {
         }
     }
 
-    /// Which word-address semantics a line uses: under GS-DRAM the
-    /// hardware shuffle/CTL path (page shuffle flag); under Impulse the
-    /// controller gathers the application-level stride regardless of
-    /// the (commodity, unshuffled) module layout.
-    pub(crate) fn addr_semantics(&self, pages: &PageTable, key: LineKey) -> bool {
-        let shuffled = pages.info(key.addr).shuffle;
-        shuffled || (self.gather == GatherSupport::Impulse && !key.pattern.is_default())
-    }
-
     /// A line's data reached the DRAM module: clear its DBI dirty bit.
     pub(crate) fn mark_clean(&mut self, key: LineKey) {
         self.dbi.mark_clean(key);
@@ -78,13 +69,7 @@ impl CoherenceEngine {
         // Coherence engages whenever the page supports an alternate
         // pattern — whether gathers come from the shuffle/CTL datapath
         // (GS-DRAM) or from controller-side assembly (Impulse).
-        let sem = self.addr_semantics(
-            pages,
-            LineKey {
-                pattern: info.alt_pattern,
-                ..key
-            },
-        );
+        let sem = self.gather.addr_semantics(info.shuffle, info.alt_pattern);
         if !sem || info.alt_pattern.is_default() {
             return;
         }
@@ -109,9 +94,7 @@ impl CoherenceEngine {
             // Flush order matters: an L2 dirty copy is always older than
             // an L1 dirty copy of the same line, so L2 goes first and a
             // flushed L1 line additionally drops any stale L2 copy.
-            if hier.l2.is_dirty(okey) {
-                // gsdram-lint: allow(D4) is_dirty(okey) above implies the line is resident
-                let ev = hier.l2.invalidate(okey).expect("resident");
+            if let Some(ev) = hier.l2.take_if_dirty(okey) {
                 events.emit(|| SimEvent::OverlapFlush {
                     addr: okey.addr,
                     pattern: okey.pattern,
@@ -120,10 +103,8 @@ impl CoherenceEngine {
                 wb.push(ev);
             }
             let mut l1_was_dirty = false;
-            for c in 0..hier.l1.len() {
-                if hier.l1[c].is_dirty(okey) {
-                    // gsdram-lint: allow(D4) is_dirty(okey) above implies the line is resident
-                    let ev = hier.l1[c].invalidate(okey).expect("resident");
+            for l1 in &mut hier.l1 {
+                if let Some(ev) = l1.take_if_dirty(okey) {
                     events.emit(|| SimEvent::OverlapFlush {
                         addr: okey.addr,
                         pattern: okey.pattern,
@@ -166,13 +147,7 @@ impl CoherenceEngine {
             }
         }
         let info = pages.info(key.addr);
-        let sem = self.addr_semantics(
-            pages,
-            LineKey {
-                pattern: info.alt_pattern,
-                ..key
-            },
-        );
+        let sem = self.gather.addr_semantics(info.shuffle, info.alt_pattern);
         if !sem || info.alt_pattern.is_default() {
             return;
         }

@@ -1,7 +1,7 @@
 //! System configuration (paper Table 1).
 
 use gsdram_cache::cache::CacheConfig;
-use gsdram_core::GsDramConfig;
+use gsdram_core::{GsDramConfig, PatternId};
 use gsdram_dram::controller::{ControllerConfig, SchedPolicy};
 use gsdram_dram::mapping::MapHash;
 use gsdram_dram::timing::TimingPack;
@@ -20,6 +20,17 @@ pub enum GatherSupport {
     /// commodity modules "Impulse cannot mitigate the wasted memory
     /// bandwidth consumption between the memory controller and DRAM").
     Impulse,
+}
+
+impl GatherSupport {
+    /// Which word-address semantics a line of `pattern` uses on a page
+    /// whose shuffle flag is `shuffled`: under GS-DRAM the hardware
+    /// shuffle/CTL path (the page's flag); under Impulse the controller
+    /// gathers the application-level stride regardless of the
+    /// (commodity, unshuffled) module layout.
+    pub(crate) fn addr_semantics(self, shuffled: bool, pattern: PatternId) -> bool {
+        shuffled || (self == GatherSupport::Impulse && !pattern.is_default())
+    }
 }
 
 /// Full-system parameters. The default reproduces Table 1:

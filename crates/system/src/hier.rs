@@ -13,7 +13,7 @@
 //! walks L1 → L2 → remote L1 → DRAM for one [`MemReq`], invoking the
 //! [coherence engine](crate::coherence) at the §4.1 points.
 
-use gsdram_cache::cache::{EvictedLine, LineKey, SetAssocCache};
+use gsdram_cache::cache::{EvictedLine, Fill, LineKey, SetAssocCache};
 use gsdram_cache::prefetch::StridePrefetcher;
 use gsdram_core::port::{CacheLevel, EventHub, MemReq, MemResp, SimEvent};
 use gsdram_core::PatternId;
@@ -34,6 +34,80 @@ pub struct CacheHier {
     pub(crate) prefetchers: Vec<StridePrefetcher>,
 }
 
+/// Installs `data` as `key` in `cache` (`core`'s L1, or the L2 when
+/// `core` is `None`) and announces the fill, then any eviction. Returns
+/// the installed words and the victim for the caller to route.
+fn install<'c>(
+    cache: &'c mut SetAssocCache,
+    core: Option<usize>,
+    key: LineKey,
+    data: &[u64],
+    fill: Fill,
+    events: &mut EventHub,
+) -> (&'c mut [u64], Option<EvictedLine>) {
+    let level = if core.is_some() {
+        CacheLevel::L1
+    } else {
+        CacheLevel::L2
+    };
+    let (line, victim) = cache.install(key, data, fill);
+    events.emit(|| SimEvent::CacheFill {
+        level,
+        core,
+        addr: key.addr,
+        pattern: key.pattern,
+    });
+    if let Some(ev) = &victim {
+        events.emit(|| SimEvent::CacheEvict {
+            level,
+            core,
+            addr: ev.key.addr,
+            pattern: ev.key.pattern,
+            dirty: ev.dirty,
+        });
+    }
+    (line, victim)
+}
+
+/// Installs a line into the L2; a dirty DRAM-bound victim goes on `wb`
+/// (in eviction order) for the caller to write back.
+pub(crate) fn fill_l2(
+    l2: &mut SetAssocCache,
+    key: LineKey,
+    data: &[u64],
+    fill: Fill,
+    wb: &mut Vec<EvictedLine>,
+    events: &mut EventHub,
+) {
+    let (_, victim) = install(l2, None, key, data, fill, events);
+    wb.extend(victim.filter(|ev| ev.dirty));
+}
+
+/// Merges a dirty line into the L2: updates a resident copy in place,
+/// or installs a dirty copy (possibly pushing an L2 victim onto `wb`).
+fn merge_dirty_into_l2(
+    l2: &mut SetAssocCache,
+    key: LineKey,
+    data: &[u64],
+    wb: &mut Vec<EvictedLine>,
+    events: &mut EventHub,
+) {
+    match l2.data_mut(key) {
+        Some(line) => line.copy_from_slice(data),
+        None => fill_l2(l2, key, data, Fill::Dirty, wb, events),
+    }
+}
+
+/// Finishes `req` on its L1 line: a store writes its word, a load reads
+/// it. Returns the value loaded or stored. Every access ends here.
+fn apply(line: &mut [u64], req: &MemReq) -> u64 {
+    let word = &mut line[req.word_index(64)];
+    if let Some(v) = req.store_value() {
+        *word = v;
+    }
+    *word
+}
+
 impl CacheHier {
     pub(crate) fn new(cfg: &SystemConfig) -> Self {
         CacheHier {
@@ -45,104 +119,23 @@ impl CacheHier {
         }
     }
 
-    /// Installs a clean line into L2. A dirty DRAM-bound victim goes on
-    /// `wb` (in eviction order) for the caller to write back.
-    pub(crate) fn fill_l2(
-        &mut self,
-        key: LineKey,
-        data: &[u64],
-        wb: &mut Vec<EvictedLine>,
-        events: &mut EventHub,
-    ) {
-        let ev = self.l2.fill_from(key, data);
-        events.emit(|| SimEvent::CacheFill {
-            level: CacheLevel::L2,
-            core: None,
-            addr: key.addr,
-            pattern: key.pattern,
-        });
-        if let Some(ev) = ev {
-            events.emit(|| SimEvent::CacheEvict {
-                level: CacheLevel::L2,
-                core: None,
-                addr: ev.key.addr,
-                pattern: ev.key.pattern,
-                dirty: ev.dirty,
-            });
-            if ev.dirty {
-                wb.push(ev);
-            }
-        }
-    }
-
-    /// Merges a dirty line into L2: updates a resident copy in place, or
-    /// installs a dirty copy (possibly pushing an L2 victim onto `wb`).
-    fn merge_dirty_into_l2(
-        &mut self,
-        key: LineKey,
-        data: &[u64],
-        wb: &mut Vec<EvictedLine>,
-        events: &mut EventHub,
-    ) {
-        if let Some(slot) = self.l2.data_mut(key) {
-            slot.copy_from_slice(data);
-        } else {
-            let l2_ev = self.l2.fill_from(key, data);
-            self.l2
-                .data_mut(key)
-                // gsdram-lint: allow(D4) fill_from on the line above made the key resident
-                .expect("just filled")
-                .copy_from_slice(data);
-            events.emit(|| SimEvent::CacheFill {
-                level: CacheLevel::L2,
-                core: None,
-                addr: key.addr,
-                pattern: key.pattern,
-            });
-            if let Some(ev) = l2_ev {
-                events.emit(|| SimEvent::CacheEvict {
-                    level: CacheLevel::L2,
-                    core: None,
-                    addr: ev.key.addr,
-                    pattern: ev.key.pattern,
-                    dirty: ev.dirty,
-                });
-                if ev.dirty {
-                    wb.push(ev);
-                }
-            }
-        }
-    }
-
-    /// Installs a clean line into `core`'s L1. A dirty victim merges
-    /// into L2 (or, if L2 no longer holds it, is installed there —
-    /// possibly pushing an L2 victim onto `wb`).
-    pub(crate) fn fill_l1(
+    /// Installs a line into `core`'s L1 and returns its words. A dirty
+    /// victim merges into L2 (or, if L2 no longer holds it, is
+    /// installed there — possibly pushing an L2 victim onto `wb`).
+    fn install_l1(
         &mut self,
         core: usize,
         key: LineKey,
         data: &[u64],
+        fill: Fill,
         wb: &mut Vec<EvictedLine>,
         events: &mut EventHub,
-    ) {
-        let ev = self.l1[core].fill_from(key, data);
-        events.emit(|| SimEvent::CacheFill {
-            level: CacheLevel::L1,
-            core: Some(core),
-            addr: key.addr,
-            pattern: key.pattern,
-        });
-        let Some(ev) = ev else { return };
-        events.emit(|| SimEvent::CacheEvict {
-            level: CacheLevel::L1,
-            core: Some(core),
-            addr: ev.key.addr,
-            pattern: ev.key.pattern,
-            dirty: ev.dirty,
-        });
-        if ev.dirty {
-            self.merge_dirty_into_l2(ev.key, &ev.data, wb, events);
+    ) -> &mut [u64] {
+        let (line, victim) = install(&mut self.l1[core], Some(core), key, data, fill, events);
+        if let Some(ev) = victim.filter(|ev| ev.dirty) {
+            merge_dirty_into_l2(&mut self.l2, ev.key, &ev.data, wb, events);
         }
+        line
     }
 
     /// Snoop: if another L1 holds `key` dirty, write it back into L2 so
@@ -154,38 +147,14 @@ impl CacheHier {
         wb: &mut Vec<EvictedLine>,
         events: &mut EventHub,
     ) {
-        for c in 0..self.l1.len() {
-            if c == core || !self.l1[c].is_dirty(key) {
+        for (c, l1) in self.l1.iter_mut().enumerate() {
+            if c == core {
                 continue;
             }
-            // gsdram-lint: allow(D4) is_dirty(key) above implies the line is resident
-            let ev = self.l1[c].invalidate(key).expect("resident");
-            self.merge_dirty_into_l2(key, &ev.data, wb, events);
-        }
-    }
-
-    /// Removes and returns every dirty line, L2 first (an L2 dirty copy
-    /// is always older than an L1 dirty copy of the same key, so writing
-    /// in this order lets L1 data win). Leaves the caches clean.
-    pub(crate) fn drain_dirty(&mut self) -> Vec<(LineKey, Vec<u64>)> {
-        let mut dirty: Vec<(LineKey, Vec<u64>)> = Vec::new();
-        for key in self.l2.resident_keys() {
-            if self.l2.is_dirty(key) {
-                // gsdram-lint: allow(D4) is_dirty(key) above implies the line is resident
-                let ev = self.l2.invalidate(key).expect("resident");
-                dirty.push((ev.key, ev.data));
+            if let Some(ev) = l1.take_if_dirty(key) {
+                merge_dirty_into_l2(&mut self.l2, key, &ev.data, wb, events);
             }
         }
-        for l1 in &mut self.l1 {
-            for key in l1.resident_keys() {
-                if l1.is_dirty(key) {
-                    // gsdram-lint: allow(D4) is_dirty(key) above implies the line is resident
-                    let ev = l1.invalidate(key).expect("resident");
-                    dirty.push((ev.key, ev.data));
-                }
-            }
-        }
-        dirty
     }
 }
 
@@ -218,22 +187,42 @@ impl Machine {
             self.flush_overlaps_before_fetch(key, at_cpu);
             let shuffled = self.pages.info(key.addr).shuffle;
             self.bridge
-                .enqueue_fetch(key, shuffled, false, Vec::new(), at_cpu, &mut self.events);
+                .enqueue_fetch(key, shuffled, Vec::new(), at_cpu, &mut self.events);
         }
         self.pf_buf = targets;
     }
 
-    /// Copies a resident L2 line into the machine's line scratch and
-    /// fills it into `core`'s L1, draining any writebacks at `at_cpu`.
-    fn refill_l1_from_l2(&mut self, core: usize, key: LineKey, at_cpu: u64) {
-        let mut buf = std::mem::take(&mut self.line_buf);
-        buf.clear();
-        // gsdram-lint: allow(D4) callers enter only after an L2 probe hit for this key
-        buf.extend_from_slice(self.hier.l2.data(key).expect("hit"));
-        self.hier
-            .fill_l1(core, key, &buf, &mut self.wb, &mut self.events);
-        self.line_buf = buf;
+    /// The one way a missing line reaches a core: installs `line_buf`
+    /// as `key` in `core`'s L1, drains the writebacks the install caused at
+    /// `at_cpu`, and finishes `req` on the installed line. Returns the
+    /// value loaded or stored. `line_buf` itself is left as it was, so
+    /// the next waiter on the same fetch fills from the same words.
+    pub(crate) fn serve_from_line_buf(
+        &mut self,
+        core: usize,
+        key: LineKey,
+        req: &MemReq,
+        at_cpu: u64,
+    ) -> u64 {
+        let fill = if req.store_value().is_some() {
+            Fill::Store
+        } else {
+            Fill::Clean
+        };
+        let line = self.hier.install_l1(
+            core,
+            key,
+            &self.line_buf,
+            fill,
+            &mut self.wb,
+            &mut self.events,
+        );
+        let value = apply(line, req);
         self.drain_writebacks(at_cpu);
+        if fill == Fill::Store {
+            self.invalidate_overlaps_on_store(core, key, at_cpu);
+        }
+        value
     }
 
     /// Executes one memory request for `core` at its current time over
@@ -246,28 +235,19 @@ impl Machine {
             .check(req.addr, req.pattern)
             .unwrap_or_else(|e| panic!("{e}"));
         let key = LineKey::new(req.addr, 64, req.pattern);
-        let word = req.word_index(64);
-        let store = req.store_value();
+        let store = req.store_value().is_some();
         let t0 = self.cores.core(core).time;
         self.cores.core_mut(core).mem_ops += 1;
 
-        // L1 lookup.
-        if self.hier.l1[core].probe(key, store.is_some()) {
-            self.cores.core_mut(core).time = t0 + self.cfg.l1.latency;
-            let value = if let Some(v) = store {
+        // L1 hit.
+        if let Some(line) = self.hier.l1[core].lookup(key, store) {
+            let value = apply(line, &req);
+            let ready_at = t0 + self.cfg.l1.latency;
+            self.cores.core_mut(core).time = ready_at;
+            if store {
                 self.invalidate_overlaps_on_store(core, key, t0);
-                // gsdram-lint: allow(D4) probe(key) hit on the enclosing branch condition
-                let data = self.hier.l1[core].data_mut(key).expect("hit");
-                data[word] = v;
-                v
-            } else {
-                // gsdram-lint: allow(D4) probe(key) hit on the enclosing branch condition
-                self.hier.l1[core].data(key).expect("hit")[word]
-            };
-            return Some(MemResp {
-                value,
-                ready_at: t0 + self.cfg.l1.latency,
-            });
+            }
+            return Some(MemResp { value, ready_at });
         }
 
         // L1 miss: train the prefetcher, snoop remote dirty copies.
@@ -276,57 +256,22 @@ impl Machine {
             .snoop_remote_dirty(core, key, &mut self.wb, &mut self.events);
         self.drain_writebacks(t0);
 
-        // L2 lookup.
-        if self.hier.l2.probe(key, false) {
-            let latency = self.cfg.l1.latency + self.cfg.l2.latency;
-            self.cores.core_mut(core).time = t0 + latency;
-            self.refill_l1_from_l2(core, key, t0);
-            let value = if let Some(v) = store {
-                self.invalidate_overlaps_on_store(core, key, t0);
-                self.hier.l1[core].probe(key, true);
-                // gsdram-lint: allow(D4) fill_l1/refill above installed the line for this core
-                let d = self.hier.l1[core].data_mut(key).expect("filled");
-                d[word] = v;
-                v
-            } else {
-                // gsdram-lint: allow(D4) fill_l1/refill above installed the line for this core
-                self.hier.l1[core].data(key).expect("filled")[word]
-            };
-            return Some(MemResp {
-                value,
-                ready_at: t0 + latency,
-            });
-        }
-
-        // Remote clean copy? Cache-to-cache transfer through L2 pricing.
-        for c in 0..self.hier.l1.len() {
-            if c != core && self.hier.l1[c].contains(key) {
-                let latency = self.cfg.l1.latency + self.cfg.l2.latency;
-                self.cores.core_mut(core).time = t0 + latency;
-                let mut buf = std::mem::take(&mut self.line_buf);
-                buf.clear();
-                // gsdram-lint: allow(D4) contains(key) held on the enclosing branch condition
-                buf.extend_from_slice(self.hier.l1[c].data(key).expect("resident"));
-                self.hier
-                    .fill_l1(core, key, &buf, &mut self.wb, &mut self.events);
-                self.line_buf = buf;
-                self.drain_writebacks(t0);
-                let value = if let Some(v) = store {
-                    self.invalidate_overlaps_on_store(core, key, t0);
-                    self.hier.l1[core].probe(key, true);
-                    // gsdram-lint: allow(D4) fill_l1/refill above installed the line for this core
-                    let d = self.hier.l1[core].data_mut(key).expect("filled");
-                    d[word] = v;
-                    v
-                } else {
-                    // gsdram-lint: allow(D4) fill_l1/refill above installed the line for this core
-                    self.hier.l1[core].data(key).expect("filled")[word]
-                };
-                return Some(MemResp {
-                    value,
-                    ready_at: t0 + latency,
-                });
-            }
+        // An L2 hit, or else a clean copy in another L1 (a
+        // cache-to-cache transfer at L2 pricing): copy it and serve.
+        let hier = &mut self.hier;
+        let source = match hier.l2.lookup(key, false) {
+            Some(line) => Some(&*line),
+            None => (hier.l1.iter().enumerate())
+                .filter(|&(c, _)| c != core)
+                .find_map(|(_, l1)| l1.data(key)),
+        };
+        if let Some(line) = source {
+            self.line_buf.clear();
+            self.line_buf.extend_from_slice(line);
+            let ready_at = t0 + self.cfg.l1.latency + self.cfg.l2.latency;
+            self.cores.core_mut(core).time = ready_at;
+            let value = self.serve_from_line_buf(core, key, &req, t0);
+            return Some(MemResp { value, ready_at });
         }
 
         // DRAM. Attach to an existing outstanding request if any.
@@ -337,14 +282,8 @@ impl Machine {
             return None;
         }
         self.flush_overlaps_before_fetch(key, miss_time);
-        self.bridge.enqueue_fetch(
-            key,
-            info.shuffle,
-            true,
-            vec![waiter],
-            miss_time,
-            &mut self.events,
-        );
+        self.bridge
+            .enqueue_fetch(key, info.shuffle, vec![waiter], miss_time, &mut self.events);
         None
     }
 }

@@ -173,9 +173,14 @@ impl Machine {
     /// caches clean, so [`Machine::peek`] observes the programs' final
     /// state.
     pub fn drain_caches(&mut self) {
-        for (key, data) in self.hier.drain_dirty() {
-            self.coherence.mark_clean(key);
-            self.bridge.write_line(&self.pages, key, &data);
+        let mut lines = Vec::new();
+        self.hier.l2.drain_dirty_into(&mut lines);
+        for l1 in &mut self.hier.l1 {
+            l1.drain_dirty_into(&mut lines);
+        }
+        for ev in lines {
+            self.coherence.mark_clean(ev.key);
+            self.bridge.write_line(&self.pages, ev.key, &ev.data);
         }
     }
 

@@ -726,3 +726,99 @@ fn per_channel_stats_merge_exactly_to_totals() {
         "single-channel reports must stay channel-subtree-free"
     );
 }
+
+/// Runs one op list per core to completion.
+fn run_cores(m: &mut Machine, ops: Vec<Vec<Op>>) -> RunReport {
+    let mut progs: Vec<ScriptedProgram> = ops.into_iter().map(ScriptedProgram::new).collect();
+    let mut programs: Vec<&mut dyn Program> =
+        progs.iter_mut().map(|p| p as &mut dyn Program).collect();
+    m.run(&mut programs, StopWhen::AllDone)
+}
+
+fn load(addr: u64) -> Op {
+    Op::Load {
+        pc: 1,
+        addr,
+        pattern: PatternId(0),
+    }
+}
+
+/// A store that misses L1 fills the line and then writes it, wherever
+/// the line comes from: it counts exactly one L1 miss plus one L1 hit,
+/// and leaves the line dirty (DRAM sees the value only after a drain).
+#[test]
+fn store_miss_counts_a_miss_and_a_hit_from_every_source() {
+    const L1_STRIDE: u64 = 64 * 64; // same L1 set, different L2 sets
+    const L2_STRIDE: u64 = 64 * 4096; // same L2 set
+    for source in ["dram", "l2", "remote"] {
+        let mut m = small_machine(2);
+        let base = m.malloc(3 << 20);
+        let x = base + 0x40;
+        m.poke(x + 8, 5);
+        // Warm-up phases, in order: (core, ops).
+        let warm: Vec<(usize, Vec<Op>)> = match source {
+            "dram" => Vec::new(),
+            // x in L2 and L1[0]; eight same-set loads push it out of L1[0].
+            "l2" => vec![(0, (0..=8).map(|i| load(x + i * L1_STRIDE)).collect())],
+            // x in L1[1]; core 0's eight same-set loads push it out of L2.
+            _ => vec![
+                (1, vec![load(x)]),
+                (0, (1..=8).map(|i| load(x + i * L2_STRIDE)).collect()),
+            ],
+        };
+        for (core, ops) in warm {
+            let mut phase = vec![Vec::new(), Vec::new()];
+            phase[core] = ops;
+            run_cores(&mut m, phase);
+        }
+        let before = run_cores(&mut m, vec![Vec::new(), Vec::new()]);
+        let store = Op::Store {
+            pc: 2,
+            addr: x + 8,
+            pattern: PatternId(0),
+            value: 99,
+        };
+        let after = run_cores(&mut m, vec![vec![store], Vec::new()]);
+        let (l1, l1_was) = (after.l1[0], before.l1[0]);
+        assert_eq!(l1.misses - l1_was.misses, 1, "{source}: L1 misses");
+        assert_eq!(l1.hits - l1_was.hits, 1, "{source}: L1 hits");
+        let l2_hits = after.l2.hits - before.l2.hits;
+        let dram_reads = after.dram.reads - before.dram.reads;
+        let want = match source {
+            "dram" => (0, 1),
+            "l2" => (1, 0),
+            _ => (0, 0),
+        };
+        assert_eq!((l2_hits, dram_reads), want, "{source}: served from");
+        assert_eq!(m.peek(x + 8), 5, "{source}: the store must stay cached");
+        m.drain_caches();
+        assert_eq!(m.peek(x + 8), 99, "{source}: the line must be dirty");
+    }
+}
+
+/// Two cores miss on the same line in the same cycle and share one
+/// fetch. Each waiter fills from the words DRAM returned, so core 0's
+/// store does not reach core 1's concurrent load; it stays dirty in
+/// core 0's L1 and reaches DRAM on a drain.
+#[test]
+fn waiters_on_one_fetch_fill_from_the_fetched_words() {
+    let mut m = small_machine(2);
+    let base = m.malloc(4096);
+    m.poke(base + 8, 5);
+    let store = Op::Store {
+        pc: 1,
+        addr: base + 8,
+        pattern: PatternId(0),
+        value: 99,
+    };
+    let mut p0 = ScriptedProgram::new(vec![store]);
+    let mut p1 = ScriptedProgram::new(vec![load(base + 8)]);
+    let r = {
+        let mut programs: Vec<&mut dyn Program> = vec![&mut p0, &mut p1];
+        m.run(&mut programs, StopWhen::AllDone)
+    };
+    assert_eq!(r.dram.reads, 1, "the second miss joins the first fetch");
+    assert_eq!(p1.loaded_values(), &[5]);
+    m.drain_caches();
+    assert_eq!(m.peek(base + 8), 99);
+}

@@ -4,8 +4,10 @@
 # through the experiment registry: one `gsdram-sim sweep <name>` per
 # experiment, each emitting a human-readable transcript (results/*.txt)
 # and the full stats tree (results/*.json). Extra flags are forwarded
-# to every sweep (e.g. `./run_experiments.sh --serial` or
-# `./run_experiments.sh --tuples 65536` for a quick pass).
+# to every sweep, so they must be ones every sweep reads (e.g.
+# `./run_experiments.sh --serial` or `--threads 4`); a sweep rejects a
+# flag its experiment does not read. For a quick pass, run single
+# sweeps at smaller sizes (`gsdram-sim sweep fig10 --tuples 65536`).
 set -e
 cd "$(dirname "$0")"
 R=results
