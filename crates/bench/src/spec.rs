@@ -787,6 +787,7 @@ impl RunSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsdram_dram::energy::PowerParams;
 
     #[test]
     fn analytics_spec_executes_and_reports() {
@@ -860,6 +861,42 @@ mod tests {
         let cfg = ms.config();
         assert_eq!(cfg.cpu_per_mem, 3);
         assert_eq!(cfg.channels, 4);
+        assert_eq!(cfg.controller.power, PowerParams::ddr4_2400_x8());
+    }
+
+    #[test]
+    fn ddr4_run_charges_ddr4_energy() {
+        // A read-only column scan: every read burst charges
+        // (IDD4R − IDD3N)·VDD·tBURST per chip and 4.5 pJ/bit of I/O.
+        let args = Args::new(["--timing", "ddr4-2400"]);
+        let mut m = MachineSpec::table1(1, 16 << 20)
+            .with_args(&args)
+            .unwrap()
+            .build();
+        let table = Table::create(&mut m, Layout::RowStore, 2048);
+        let mut p = analytics(table, &[0]);
+        let r = {
+            let mut programs: Vec<&mut dyn Program> = vec![&mut p];
+            m.run(&mut programs, StopWhen::AllDone)
+        };
+        let (power, timing) = (PowerParams::ddr4_2400_x8(), TimingPack::Ddr4_2400.params());
+        assert_eq!(power.vdd, 1.2);
+        let reads = r.dram.reads as f64;
+        let burst_nj = (power.idd4r - power.idd3n)
+            * power.vdd
+            * timing.cycles_to_ns(timing.burst)
+            * power.chips as f64
+            / 1000.0;
+        let e = r.dram_energy;
+        assert_eq!(r.dram.writes, 0);
+        assert!(
+            (e.read_nj - reads * burst_nj).abs() < 1e-6 * e.read_nj,
+            "{e:?}"
+        );
+        assert!(
+            (e.io_nj - reads * 512.0 * 4.5 / 1000.0).abs() < 1e-6 * e.io_nj,
+            "{e:?}"
+        );
     }
 
     #[test]

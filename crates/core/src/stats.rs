@@ -142,14 +142,6 @@ impl StatsNode {
         }
     }
 
-    /// Text value at `path`, if present and text.
-    pub fn text_at(&self, path: &str) -> Option<&str> {
-        match self.get(path)? {
-            StatValue::Text(v) => Some(v),
-            _ => None,
-        }
-    }
-
     // ---------------------------------------------------------------
     // Human-readable rendering
     // ---------------------------------------------------------------

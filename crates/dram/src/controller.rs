@@ -795,11 +795,6 @@ impl MemController {
         self.time_skip && self.horizon.skips(to) && self.completions.iter().all(|c| c.at > to)
     }
 
-    /// Whether any completions are recorded (at any time).
-    pub fn has_completions(&self) -> bool {
-        !self.completions.is_empty()
-    }
-
     /// The earliest recorded completion time, if any.
     pub fn peek_completion(&self) -> Option<Cycles> {
         self.completions.iter().map(|c| c.at).min()

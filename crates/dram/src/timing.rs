@@ -7,6 +7,8 @@
 //! from the CLI (`--timing`), with the paper's DDR3 pack as the
 //! default and a DDR4-2400-shaped pack for forward-looking sweeps.
 
+use crate::energy::PowerParams;
+
 /// A memory-clock cycle count.
 pub type Cycles = u64;
 
@@ -207,6 +209,14 @@ impl TimingPack {
         match self {
             TimingPack::Ddr3_1600 => TimingParams::ddr3_1600(),
             TimingPack::Ddr4_2400 => TimingParams::ddr4_2400(),
+        }
+    }
+
+    /// The device power parameters for this pack.
+    pub fn power(&self) -> PowerParams {
+        match self {
+            TimingPack::Ddr3_1600 => PowerParams::ddr3_1600_x8(),
+            TimingPack::Ddr4_2400 => PowerParams::ddr4_2400_x8(),
         }
     }
 

@@ -1,5 +1,5 @@
 //! Compilation: a materialized [`AccessStream`] becomes machine state
-//! (allocations + initial data) and a lazy op-stream [`IterProgram`]
+//! (allocations + initial data) and an op-stream [`IterProgram`]
 //! driving the full machine, under one of two layouts.
 //!
 //! The gather addressing generalizes the hand-written workloads: for
@@ -19,7 +19,7 @@
 use gsdram_core::PatternId;
 use gsdram_system::ops::Op;
 use gsdram_system::Machine;
-use gsdram_workloads::common::IterProgram;
+use gsdram_workloads::common::{load, pattload, IterProgram};
 
 use crate::spec::{AccessOp, PatternSpec};
 use crate::stream::{materialize, AccessStream};
@@ -130,50 +130,37 @@ impl Compiled {
         PatternData { base, idx_base }
     }
 
-    /// The lazy op stream: per access, an optional index-array load
-    /// (indirect streams), the data access, and one compute op (the
-    /// progress marker). Conforming accesses gather under
+    /// The op stream, one unit per access: an optional index-array
+    /// load (indirect streams), the data access, and one compute op.
+    /// Conforming accesses gather under
     /// [`PatternLayout::GsDram`]; everything else is a plain op.
     pub fn program(&self, layout: PatternLayout, data: PatternData) -> IterProgram {
         let q = self.stream.q;
         let op = self.spec.op;
-        let indirect = self.stream.indirect;
-        let indices = self.stream.indices.clone();
-        let conforms = self.stream.conforms.clone();
         let gather_on = layout == PatternLayout::GsDram && q >= 2;
-        let ops =
-            indices
-                .into_iter()
-                .zip(conforms)
-                .enumerate()
-                .flat_map(move |(t, (w, conform))| {
-                    let t = t as u64;
-                    let idx_op = indirect.then_some(Op::Load {
-                        pc: 0xE00,
-                        addr: data.idx_base + 8 * t,
-                        pattern: PatternId(0),
-                    });
-                    let (addr, pattern, pc_off) = if gather_on && conform {
-                        (gathered_addr(data.base, w, q), PatternId((q - 1) as u8), 1)
-                    } else {
-                        (plain_addr(data.base, w), PatternId(0), 0)
-                    };
-                    let access = match op {
-                        AccessOp::Gather => Op::Load {
-                            pc: 0xE01 + pc_off,
-                            addr,
-                            pattern,
-                        },
-                        AccessOp::Scatter => Op::Store {
-                            pc: 0xE03 + pc_off,
-                            addr,
-                            pattern,
-                            value: t + 1,
-                        },
-                    };
-                    idx_op.into_iter().chain([access, Op::Compute(1)])
-                });
-        IterProgram::with_unit_marker(Box::new(ops), |op| matches!(op, Op::Compute(1)))
+        let stream = self.stream.clone();
+        IterProgram::units(self.count(), move |t, ops| {
+            let i = t as usize;
+            let w = stream.indices[i];
+            if stream.indirect {
+                ops.push(load(0xE00, data.idx_base + 8 * t));
+            }
+            let (addr, pattern, pc_off) = if gather_on && stream.conforms[i] {
+                (gathered_addr(data.base, w, q), PatternId((q - 1) as u8), 1)
+            } else {
+                (plain_addr(data.base, w), PatternId(0), 0)
+            };
+            ops.push(match op {
+                AccessOp::Gather => pattload(0xE01 + pc_off, addr, pattern),
+                AccessOp::Scatter => Op::Store {
+                    pc: 0xE03 + pc_off,
+                    addr,
+                    pattern,
+                    value: t + 1,
+                },
+            });
+            ops.push(Op::Compute(1));
+        })
     }
 
     /// The checksum the program must report: every load folds its

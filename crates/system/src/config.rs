@@ -141,9 +141,11 @@ impl SystemConfig {
     }
 
     /// Re-times the memory system with a named [`TimingPack`]: the
-    /// constraint table and the CPU:memory clock ratio swap together.
+    /// constraint table, the device power parameters and the CPU:memory
+    /// clock ratio swap together.
     pub fn with_timing(mut self, pack: TimingPack) -> Self {
         self.controller.timing = pack.params();
+        self.controller.power = pack.power();
         self.cpu_per_mem = pack.cpu_per_mem();
         self
     }
@@ -213,8 +215,13 @@ mod tests {
         let c = SystemConfig::default().with_timing(TimingPack::Ddr4_2400);
         assert_eq!(c.cpu_per_mem, 3);
         assert_eq!(c.controller.timing.tck_ps, 833);
+        assert_eq!(c.controller.power.vdd, 1.2);
         let back = SystemConfig::default().with_timing(TimingPack::Ddr3_1600);
         assert_eq!(back.cpu_per_mem, 5);
+        assert_eq!(
+            back.controller.power,
+            SystemConfig::default().controller.power
+        );
         assert_eq!(
             back.controller.timing,
             SystemConfig::default().controller.timing,

@@ -15,6 +15,7 @@
 use gsdram_core::PatternId;
 use gsdram_system::ops::{Op, Program};
 
+use crate::common::{load, pattload};
 use crate::imdb::{Layout, Table};
 
 /// State machine for the filter query.
@@ -67,17 +68,16 @@ impl FilterQuery {
                 // Figure 8 addressing: gathered line of field `field`
                 // covering tuple group t & !7, word t % 8.
                 let group = t & !7;
-                Op::Load {
-                    pc: 0x800 + self.field as u64,
-                    addr: self.table.base + (group + self.field as u64) * 64 + (t % 8) * 8,
-                    pattern: PatternId(7),
-                }
+                pattload(
+                    0x800 + self.field as u64,
+                    self.table.base + (group + self.field as u64) * 64 + (t % 8) * 8,
+                    PatternId(7),
+                )
             }
-            _ => Op::Load {
-                pc: 0x800 + self.field as u64,
-                addr: self.table.field_addr(t, self.field),
-                pattern: PatternId(0),
-            },
+            _ => load(
+                0x800 + self.field as u64,
+                self.table.field_addr(t, self.field),
+            ),
         }
     }
 }
@@ -92,11 +92,7 @@ impl Program for FilterQuery {
                 self.fetch_field = 0;
                 self.fetch_queue.remove(0);
             }
-            return Some(Op::Load {
-                pc: 0x900 + f as u64,
-                addr: self.table.field_addr(t, f),
-                pattern: PatternId(0),
-            });
+            return Some(load(0x900 + f as u64, self.table.field_addr(t, f)));
         }
         if self.scan_next < self.table.tuples {
             return Some(self.scan_op());

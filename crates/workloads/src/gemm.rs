@@ -24,7 +24,7 @@ use gsdram_core::PatternId;
 use gsdram_system::ops::Op;
 use gsdram_system::Machine;
 
-use crate::common::IterProgram;
+use crate::common::{load, Index, IterProgram, Nest};
 
 /// The GEMM mechanisms compared in Figure 13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,153 +160,87 @@ impl Gemm {
 /// harness for n ≥ 256). `None` simulates everything (factor 1).
 // gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
 pub fn program(g: Gemm, sample_outer: Option<usize>) -> (IterProgram, f64) {
-    match g.variant {
-        GemmVariant::Naive => naive(g, sample_outer),
-        GemmVariant::Tiled { tile } => tiled_scalar(g, tile, sample_outer),
-        GemmVariant::TiledSimd { tile } => tiled_simd(g, tile, sample_outer, false),
-        GemmVariant::GsDram { tile } => tiled_simd(g, tile, sample_outer, true),
+    let (outer, tile) = match g.variant {
+        GemmVariant::Naive => (g.n, None),
+        GemmVariant::Tiled { tile }
+        | GemmVariant::TiledSimd { tile }
+        | GemmVariant::GsDram { tile } => (g.n / tile, Some(tile)),
+    };
+    let run = sample_outer.map_or(outer, |s| s.min(outer));
+    let nest = match tile {
+        None => naive(g, run),
+        Some(t) => tiled(g, t, run),
+    };
+    // gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
+    (IterProgram::nests(vec![nest]), outer as f64 / run as f64)
+}
+
+/// `for i { for j { for k in (0..n).step_by(8) { … } } }` over `rows`
+/// rows: one A line per 8 k; 8 B loads (column walk); 8 fma + idx.
+fn naive(g: Gemm, rows: usize) -> Nest {
+    let mut nest = Nest::new(&[rows, g.n, g.n / 8]);
+    nest.op(|[i, _, k8, ..]| load(0xA00, g.a_addr(i, 8 * k8)));
+    for kk in 0..8 {
+        nest.op(|[_, j, k8, ..]| load(0xB00, g.b_addr(8 * k8 + kk, j)));
     }
+    nest.op(|_| Op::Compute(11)); // 8 fma + 3 loop/address ops
+    nest
 }
 
-// gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-fn naive(g: Gemm, sample: Option<usize>) -> (IterProgram, f64) {
-    let n = g.n;
-    let rows = sample.map_or(n, |s| s.min(n));
-    // gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-    let scale = n as f64 / rows as f64;
-    // for i { for j { acc = 0; for k { acc += A[i][k] * B[k][j] } } }
-    let ops = (0..rows).flat_map(move |i| {
-        (0..n).flat_map(move |j| {
-            (0..n).step_by(8).flat_map(move |k| {
-                // One A line per 8 k; 8 B loads (column walk); 8 fma + idx.
-                let mut v: Vec<Op> = Vec::with_capacity(10);
-                v.push(Op::Load {
-                    pc: 0xA00,
-                    addr: g.a_addr(i, k),
-                    pattern: PatternId(0),
+/// The cache-blocked loops over `stripes` row-tile stripes: tiles `ti,
+/// tj, tk`, then B column `j` within the tile (split into `j / 8` and
+/// `j % 8`, which the tiled-B gather address takes), then 8-wide `k`
+/// and `i` steps around one register-blocked micro-kernel.
+fn tiled(g: Gemm, t: usize, stripes: usize) -> Nest {
+    let (n, t8) = (g.n, t / 8);
+    let mut nest = Nest::new(&[stripes, n / t, n / t, t8, 8, t8, t8]);
+    let j = |[_, tj, _, jh, jl, ..]: Index| tj * t + 8 * jh + jl;
+    let k = |[_, _, tk, _, _, ks, ..]: Index| tk * t + 8 * ks;
+    let i0 = |[ti, .., is, _]: Index| ti * t + 8 * is;
+    match g.variant {
+        // 8 scalar B loads.
+        GemmVariant::Tiled { .. } => {
+            for kk in 0..8 {
+                nest.op(|x| load(0xB10, g.b_addr(k(x) + kk, j(x))));
+            }
+        }
+        // Software gather: 8 scalar loads + 4 packs (unpcklpd).
+        GemmVariant::TiledSimd { .. } => {
+            for kk in 0..8 {
+                nest.op(|x| load(0xB30, g.b_addr(k(x) + kk, j(x))));
+            }
+            nest.op(|_| Op::Compute(4));
+        }
+        // 4 × pattload xmm: B[k..k+8][j], two column values per load,
+        // one gathered line for all four.
+        _ => {
+            for kk in (0..8).step_by(2) {
+                nest.op(|x| Op::Load16 {
+                    pc: 0xB20,
+                    addr: g.b_gather_addr(k(x) + kk, j(x)),
+                    pattern: PatternId(7),
                 });
-                for kk in 0..8 {
-                    v.push(Op::Load {
-                        pc: 0xB00,
-                        addr: g.b_addr(k + kk, j),
-                        pattern: PatternId(0),
-                    });
-                }
-                v.push(Op::Compute(11)); // 8 fma + 3 loop/address ops
-                v
+            }
+        }
+    }
+    for r in 0..8 {
+        if let GemmVariant::Tiled { .. } = g.variant {
+            // A line + 8 scalar fma.
+            nest.op(|x| load(0xA10 + r as u64, g.a_addr(i0(x) + r, k(x))))
+                .op(|_| Op::Compute(11));
+        } else {
+            // One A line as 4 xmm loads (1 line access + 3 issue
+            // slots), 4 SIMD fma.
+            nest.op(|x| Op::Load16 {
+                pc: 0xA20 + r as u64,
+                addr: g.a_addr(i0(x) + r, k(x)),
+                pattern: PatternId(0),
             })
-        })
-    });
-    (IterProgram::new(Box::new(ops)), scale)
-}
-
-// gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-fn tiled_scalar(g: Gemm, t: usize, sample: Option<usize>) -> (IterProgram, f64) {
-    let n = g.n;
-    let stripes = n / t;
-    let run = sample.map_or(stripes, |s| s.min(stripes));
-    // gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-    let scale = stripes as f64 / run as f64;
-    let ops = (0..run).flat_map(move |ti| {
-        (0..n / t).flat_map(move |tj| {
-            (0..n / t).flat_map(move |tk| {
-                (0..t).flat_map(move |jj| {
-                    let j = tj * t + jj;
-                    (0..t).step_by(8).flat_map(move |ks| {
-                        let k = tk * t + ks;
-                        (0..t).step_by(8).flat_map(move |is| {
-                            let i0 = ti * t + is;
-                            // 8 scalar B loads, then per row: A line +
-                            // 8 scalar fma.
-                            let mut v: Vec<Op> = Vec::with_capacity(18);
-                            for kk in 0..8 {
-                                v.push(Op::Load {
-                                    pc: 0xB10,
-                                    addr: g.b_addr(k + kk, j),
-                                    pattern: PatternId(0),
-                                });
-                            }
-                            for r in 0..8 {
-                                v.push(Op::Load {
-                                    pc: 0xA10 + r as u64,
-                                    addr: g.a_addr(i0 + r, k),
-                                    pattern: PatternId(0),
-                                });
-                                v.push(Op::Compute(11));
-                            }
-                            v.push(Op::Compute(2));
-                            v
-                        })
-                    })
-                })
-            })
-        })
-    });
-    (IterProgram::new(Box::new(ops)), scale)
-}
-
-/// The shared tiled-SIMD structure; `gs` selects the B-column access:
-/// software gather (8 scalar loads + 4 packs) vs 4 pattern-7 `pattload`s
-/// into xmm registers.
-// gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-fn tiled_simd(g: Gemm, t: usize, sample: Option<usize>, gs: bool) -> (IterProgram, f64) {
-    let n = g.n;
-    let stripes = n / t;
-    let run = sample.map_or(stripes, |s| s.min(stripes));
-    // gsdram-lint: allow(D5) sampling scale factor scales reported cycles, not simulated state
-    let scale = stripes as f64 / run as f64;
-    let ops = (0..run).flat_map(move |ti| {
-        (0..n / t).flat_map(move |tj| {
-            (0..n / t).flat_map(move |tk| {
-                (0..t).flat_map(move |jj| {
-                    let j = tj * t + jj;
-                    (0..t).step_by(8).flat_map(move |ks| {
-                        let k = tk * t + ks;
-                        (0..t).step_by(8).flat_map(move |is| {
-                            let i0 = ti * t + is;
-                            let mut v: Vec<Op> = Vec::with_capacity(16);
-                            if gs {
-                                // 4 × pattload xmm: B[k..k+8][j], two
-                                // column values per load, one gathered
-                                // line for all four.
-                                for kk in (0..8).step_by(2) {
-                                    v.push(Op::Load16 {
-                                        pc: 0xB20,
-                                        addr: g.b_gather_addr(k + kk, j),
-                                        pattern: PatternId(7),
-                                    });
-                                }
-                            } else {
-                                // Software gather: 8 scalar loads + 4
-                                // packs (unpcklpd).
-                                for kk in 0..8 {
-                                    v.push(Op::Load {
-                                        pc: 0xB30,
-                                        addr: g.b_addr(k + kk, j),
-                                        pattern: PatternId(0),
-                                    });
-                                }
-                                v.push(Op::Compute(4));
-                            }
-                            // 8 A rows × (one A line as 4 xmm loads → 1
-                            // line access + 3 issue slots, 4 SIMD fma).
-                            for r in 0..8 {
-                                v.push(Op::Load16 {
-                                    pc: 0xA20 + r as u64,
-                                    addr: g.a_addr(i0 + r, k),
-                                    pattern: PatternId(0),
-                                });
-                                v.push(Op::Compute(7));
-                            }
-                            v.push(Op::Compute(2));
-                            v
-                        })
-                    })
-                })
-            })
-        })
-    });
-    (IterProgram::new(Box::new(ops)), scale)
+            .op(|_| Op::Compute(7));
+        }
+    }
+    nest.op(|_| Op::Compute(2));
+    nest
 }
 
 #[cfg(test)]
@@ -314,6 +248,7 @@ mod tests {
     use super::*;
     use gsdram_system::config::SystemConfig;
     use gsdram_system::machine::StopWhen;
+    use gsdram_system::ops::Op;
     use gsdram_system::ops::Program;
 
     fn run(n: usize, variant: GemmVariant) -> (u64, gsdram_system::RunReport) {

@@ -14,7 +14,7 @@ use gsdram_core::PatternId;
 use gsdram_system::ops::Op;
 use gsdram_system::Machine;
 
-use crate::common::{IterProgram, SplitMix};
+use crate::common::{gathered_field_scan, load, store, IterProgram, Nest, SplitMix};
 
 /// Node-array storage mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,71 +77,33 @@ impl Graph {
 /// A traversal pass summing field `field` of every node (e.g. a
 /// PageRank accumulation over ranks).
 pub fn scan(g: Graph, field: usize) -> IterProgram {
-    let ops: Box<dyn Iterator<Item = Op>> = match g.layout {
-        GraphLayout::NodeMajor => Box::new((0..g.nodes).flat_map(move |v| {
-            [
-                Op::Load {
-                    pc: 0xD00,
-                    addr: g.field_addr(v, field),
-                    pattern: PatternId(0),
-                },
-                Op::Compute(1),
-            ]
-        })),
-        GraphLayout::GsDram => Box::new((0..g.nodes / 8).flat_map(move |grp| {
-            (0..8u64).flat_map(move |k| {
-                [
-                    Op::Load {
-                        pc: 0xD10,
-                        addr: g.base + (8 * grp + field as u64) * 64 + 8 * k,
-                        pattern: PatternId(7),
-                    },
-                    Op::Compute(1),
-                ]
-            })
-        })),
+    let nest = match g.layout {
+        GraphLayout::NodeMajor => {
+            let mut nest = Nest::new(&[g.nodes as usize]);
+            nest.op(|[v, ..]| load(0xD00, g.field_addr(v as u64, field)))
+                .op(|_| Op::Compute(1));
+            nest
+        }
+        GraphLayout::GsDram => gathered_field_scan(0xD10, g.base, g.nodes, field),
     };
-    IterProgram::new(ops)
+    IterProgram::nests(vec![nest])
 }
 
 /// `count` node updates: each reads three fields of a random node and
 /// writes two (pattern 0 on both layouts — one cache line per node).
 pub fn updates(g: Graph, count: u64, seed: u64) -> IterProgram {
     let mut rng = SplitMix(seed);
-    let ops = (0..count).flat_map(move |_| {
+    IterProgram::units(count, move |_, ops| {
         let v = rng.below(g.nodes);
-        [
-            Op::Load {
-                pc: 0xD20,
-                addr: g.field_addr(v, 0),
-                pattern: PatternId(0),
-            },
-            Op::Load {
-                pc: 0xD21,
-                addr: g.field_addr(v, 1),
-                pattern: PatternId(0),
-            },
-            Op::Load {
-                pc: 0xD22,
-                addr: g.field_addr(v, 2),
-                pattern: PatternId(0),
-            },
-            Op::Store {
-                pc: 0xD23,
-                addr: g.field_addr(v, 0),
-                pattern: PatternId(0),
-                value: rng.next_u64(),
-            },
-            Op::Store {
-                pc: 0xD24,
-                addr: g.field_addr(v, 3),
-                pattern: PatternId(0),
-                value: rng.next_u64(),
-            },
+        ops.extend([
+            load(0xD20, g.field_addr(v, 0)),
+            load(0xD21, g.field_addr(v, 1)),
+            load(0xD22, g.field_addr(v, 2)),
+            store(0xD23, g.field_addr(v, 0), rng.next_u64()),
+            store(0xD24, g.field_addr(v, 3), rng.next_u64()),
             Op::Compute(8),
-        ]
-    });
-    IterProgram::with_unit_marker(Box::new(ops), |op| matches!(op, Op::Compute(8)))
+        ]);
+    })
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use gsdram_core::PatternId;
 use gsdram_system::ops::Op;
 use gsdram_system::Machine;
 
-use crate::common::{IterProgram, SplitMix};
+use crate::common::{gathered_field_scan, load, store, IterProgram, Nest, SplitMix};
 
 /// Fields per tuple (the paper's 64-byte tuples).
 pub const FIELDS: usize = 8;
@@ -186,61 +186,35 @@ pub fn transactions(table: Table, spec: TxnSpec, count: u64, seed: u64) -> IterP
     let mut rng = SplitMix(seed);
     let per_txn = spec.fields();
     assert!(per_txn <= FIELDS, "at most 8 fields per transaction");
-    let ops = (0..count).flat_map(move |_| {
+    IterProgram::units(count, move |_, ops| {
         let t = rng.below(table.tuples);
-        // Choose `per_txn` distinct fields.
+        // Choose `per_txn` distinct fields, drawn as `Vec::swap_remove`
+        // over `0..FIELDS` would draw them.
         let mut fields = [0usize; FIELDS];
-        let mut available: Vec<usize> = (0..FIELDS).collect();
-        for slot in fields.iter_mut().take(per_txn) {
-            let i = rng.below(available.len() as u64) as usize;
-            *slot = available.swap_remove(i);
+        let mut available: [usize; FIELDS] = std::array::from_fn(|f| f);
+        for (taken, slot) in fields.iter_mut().take(per_txn).enumerate() {
+            let last = FIELDS - 1 - taken;
+            let i = rng.below(last as u64 + 1) as usize;
+            *slot = available[i];
+            available[i] = available[last];
         }
-        let mut ops: Vec<Op> = Vec::with_capacity(per_txn * 2 + 1);
-        let mut idx = 0;
-        for _ in 0..spec.read_only {
-            let addr = table.field_addr(t, fields[idx]);
-            ops.push(Op::Load {
-                pc: 0x100 + idx as u64,
-                addr,
-                pattern: PatternId(0),
-            });
+        for (idx, &f) in fields[..per_txn].iter().enumerate() {
+            let (addr, pc) = (table.field_addr(t, f), idx as u64);
+            if idx < spec.read_only {
+                ops.push(load(0x100 + pc, addr));
+            } else if idx < spec.read_only + spec.write_only {
+                ops.push(store(0x200 + pc, addr, rng.next_u64()));
+            } else {
+                ops.push(load(0x300 + pc, addr));
+                ops.push(store(0x400 + pc, addr, rng.next_u64()));
+            }
             ops.push(Op::Compute(10)); // per-field predicate/marshalling work
-            idx += 1;
-        }
-        for _ in 0..spec.write_only {
-            let addr = table.field_addr(t, fields[idx]);
-            ops.push(Op::Store {
-                pc: 0x200 + idx as u64,
-                addr,
-                pattern: PatternId(0),
-                value: rng.next_u64(),
-            });
-            ops.push(Op::Compute(10));
-            idx += 1;
-        }
-        for _ in 0..spec.read_write {
-            let addr = table.field_addr(t, fields[idx]);
-            ops.push(Op::Load {
-                pc: 0x300 + idx as u64,
-                addr,
-                pattern: PatternId(0),
-            });
-            ops.push(Op::Store {
-                pc: 0x400 + idx as u64,
-                addr,
-                pattern: PatternId(0),
-                value: rng.next_u64(),
-            });
-            ops.push(Op::Compute(10));
-            idx += 1;
         }
         // Transaction prologue/epilogue: index lookup, locking, commit
         // bookkeeping (calibrates the memory share of a transaction to
         // the paper's Figure 9 ratios).
         ops.push(Op::Compute(150));
-        ops
-    });
-    IterProgram::with_unit_marker(Box::new(ops), |op| matches!(op, Op::Compute(150)))
+    })
 }
 
 /// Builds the analytics program: the sum of `columns` fields over the
@@ -252,55 +226,31 @@ pub fn transactions(table: Table, spec: TxnSpec, count: u64, seed: u64) -> IterP
 /// * GS-DRAM: the Figure 8 structure — for each group of 8 tuples, one
 ///   `pattload` line per field gathered with pattern 7.
 pub fn analytics(table: Table, columns: &[usize]) -> IterProgram {
-    let columns = columns.to_vec();
-    let ops: Box<dyn Iterator<Item = Op>> = match table.layout {
+    let tuples = table.tuples as usize;
+    let nests = match table.layout {
         Layout::RowStore => {
-            let cols = columns.clone();
-            Box::new((0..table.tuples).flat_map(move |t| {
-                let table = table;
-                let per: Vec<Op> = cols
-                    .iter()
-                    .map(|&f| Op::Load {
-                        pc: 0x500 + f as u64,
-                        addr: table.field_addr(t, f),
-                        pattern: PatternId(0),
-                    })
-                    .chain(std::iter::once(Op::Compute(1)))
-                    .collect();
-                per
-            }))
+            let mut nest = Nest::new(&[tuples]);
+            for &f in columns {
+                nest.op(|[t, ..]| load(0x500 + f as u64, table.field_addr(t as u64, f)));
+            }
+            nest.op(|_| Op::Compute(1));
+            vec![nest]
         }
-        Layout::ColumnStore => Box::new(columns.clone().into_iter().flat_map(move |f| {
-            (0..table.tuples).flat_map(move |t| {
-                [
-                    Op::Load {
-                        pc: 0x600 + f as u64,
-                        addr: table.field_addr(t, f),
-                        pattern: PatternId(0),
-                    },
-                    Op::Compute(1),
-                ]
+        Layout::ColumnStore => columns
+            .iter()
+            .map(|&f| {
+                let mut nest = Nest::new(&[tuples]);
+                nest.op(|[t, ..]| load(0x600 + f as u64, table.field_addr(t as u64, f)))
+                    .op(|_| Op::Compute(1));
+                nest
             })
-        })),
-        Layout::GsDram => Box::new(columns.clone().into_iter().flat_map(move |f| {
-            let groups = table.tuples / 8;
-            (0..groups).flat_map(move |g| {
-                // pattload arr[8g + f] + 8k, pattern 7 → field f of tuple
-                // 8g + k (Figure 8 / §4.3).
-                (0..8u64).flat_map(move |k| {
-                    [
-                        Op::Load {
-                            pc: 0x700 + f as u64,
-                            addr: table.base + (8 * g + f as u64) * 64 + 8 * k,
-                            pattern: PatternId(7),
-                        },
-                        Op::Compute(1),
-                    ]
-                })
-            })
-        })),
+            .collect(),
+        Layout::GsDram => columns
+            .iter()
+            .map(|&f| gathered_field_scan(0x700 + f as u64, table.base, table.tuples, f))
+            .collect(),
     };
-    IterProgram::new(ops)
+    IterProgram::nests(nests)
 }
 
 #[cfg(test)]
@@ -388,6 +338,27 @@ mod tests {
         };
         assert_eq!(r.progress[0], 50);
         assert!(r.mem_ops >= 50 * 4); // 1 RO + 1 WO + (1+1) RW per txn
+    }
+
+    #[test]
+    fn transaction_progress_moves_only_on_its_last_op() {
+        let table = Table {
+            layout: Layout::RowStore,
+            tuples: 1024,
+            base: 0,
+        };
+        // 4-2-2: 4×(load, compute) + 2×(store, compute) +
+        // 2×(load, store, compute) + the commit compute = 19 ops.
+        let mut p = transactions(table, TxnSpec::FIGURE9[7], 20, 3);
+        let (mut ops, mut progress) = (0, 0);
+        while let Some(op) = p.next_op() {
+            ops += 1;
+            let last = ops % 19 == 0;
+            assert_eq!(last, op == Op::Compute(150), "op {ops}: {op:?}");
+            progress += u64::from(last);
+            assert_eq!(p.progress(), progress, "op {ops}");
+        }
+        assert_eq!((ops, progress), (20 * 19, 20));
     }
 
     #[test]

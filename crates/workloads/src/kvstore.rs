@@ -10,7 +10,7 @@ use gsdram_core::PatternId;
 use gsdram_system::ops::Op;
 use gsdram_system::Machine;
 
-use crate::common::{IterProgram, SplitMix};
+use crate::common::{load, pattload, store, IterProgram, SplitMix};
 
 /// Storage mechanism for the pair array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,65 +96,32 @@ impl KvStore {
 /// targets within `scan_len`.
 pub fn lookups(kv: KvStore, scan_len: u64, lookups: u64, seed: u64) -> IterProgram {
     let mut rng = SplitMix(seed);
-    let ops = (0..lookups).flat_map(move |_| {
+    IterProgram::units(lookups, move |_, ops| {
         let target = rng.below(scan_len);
-        let mut v: Vec<Op> = Vec::new();
-        match kv.layout {
-            KvLayout::Interleaved => {
-                for i in 0..=target {
-                    v.push(Op::Load {
-                        pc: 0xC00,
-                        addr: kv.key_addr(i),
-                        pattern: PatternId(0),
-                    });
-                    v.push(Op::Compute(1)); // compare + branch
-                }
-            }
-            KvLayout::GsDram => {
-                for i in 0..=target {
-                    v.push(Op::Load {
-                        pc: 0xC10,
-                        addr: kv.key_gather_addr(i),
-                        pattern: PatternId(1),
-                    });
-                    v.push(Op::Compute(1));
-                }
-            }
+        for i in 0..=target {
+            ops.push(match kv.layout {
+                KvLayout::Interleaved => load(0xC00, kv.key_addr(i)),
+                KvLayout::GsDram => pattload(0xC10, kv.key_gather_addr(i), PatternId(1)),
+            });
+            ops.push(Op::Compute(1)); // compare + branch
         }
-        v.push(Op::Load {
-            pc: 0xC20,
-            addr: kv.value_addr(target),
-            pattern: PatternId(0),
-        });
-        v.push(Op::Compute(5));
-        v
-    });
-    IterProgram::with_unit_marker(Box::new(ops), |op| matches!(op, Op::Compute(5)))
+        ops.push(load(0xC20, kv.value_addr(target)));
+        ops.push(Op::Compute(5));
+    })
 }
 
 /// Inserts `count` pairs at random slots (key + value writes — one line
 /// on either layout).
 pub fn inserts(kv: KvStore, count: u64, seed: u64) -> IterProgram {
     let mut rng = SplitMix(seed);
-    let ops = (0..count).flat_map(move |_| {
+    IterProgram::units(count, move |_, ops| {
         let i = rng.below(kv.pairs);
-        [
-            Op::Store {
-                pc: 0xC30,
-                addr: kv.key_addr(i),
-                pattern: PatternId(0),
-                value: rng.next_u64() | 1,
-            },
-            Op::Store {
-                pc: 0xC40,
-                addr: kv.value_addr(i),
-                pattern: PatternId(0),
-                value: rng.next_u64(),
-            },
+        ops.extend([
+            store(0xC30, kv.key_addr(i), rng.next_u64() | 1),
+            store(0xC40, kv.value_addr(i), rng.next_u64()),
             Op::Compute(5),
-        ]
-    });
-    IterProgram::with_unit_marker(Box::new(ops), |op| matches!(op, Op::Compute(5)))
+        ]);
+    })
 }
 
 #[cfg(test)]

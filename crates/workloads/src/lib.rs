@@ -1,6 +1,6 @@
 //! # gsdram-workloads
 //!
-//! The applications the GS-DRAM paper evaluates (§5), implemented as lazy
+//! The applications the GS-DRAM paper evaluates (§5), implemented as
 //! op-stream programs over the [`gsdram_system`] machine:
 //!
 //! * [`imdb`] — the in-memory database: transactions, analytics and HTAP
@@ -14,7 +14,8 @@
 //! * [`filter`] — a data-dependent selective-projection query (an
 //!   extension experiment: scan benefit vs selectivity crossover);
 //! * [`transpose`] — matrix transpose via gathered tile columns;
-//! * [`common`] — lazy program plumbing and a deterministic RNG.
+//! * [`common`] — the op-stream program (loop nests and unit
+//!   generators refilling one op batch) and a deterministic RNG.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -13,7 +13,7 @@ use gsdram_core::PatternId;
 use gsdram_system::ops::Op;
 use gsdram_system::Machine;
 
-use crate::common::IterProgram;
+use crate::common::{load, pattload, store, Index, IterProgram, Nest};
 
 /// Source-matrix storage for the transpose kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,32 +104,23 @@ impl Transpose {
 /// column segment) and stores it contiguously into `dst[j][i0..]`.
 pub fn program(t: Transpose) -> IterProgram {
     let n = t.n;
-    let ops = (0..n).flat_map(move |j| {
-        (0..n).step_by(8).flat_map(move |i0| {
-            let mut v: Vec<Op> = Vec::with_capacity(18);
-            for k in 0..8 {
-                let i = i0 + k;
-                let (pc, addr, pattern) = match t.layout {
-                    TransposeLayout::RowMajor => (0xE00, t.src_addr(i, j), PatternId(0)),
-                    TransposeLayout::GsDram => (0xE10, t.gather_addr(i, j), PatternId(7)),
-                };
-                v.push(Op::Load { pc, addr, pattern });
-                v.push(Op::Store {
-                    pc: 0xE20,
-                    addr: t.dst_addr(j, i),
-                    pattern: PatternId(0),
-                    // The machine's functional path overwrites this with
-                    // the loaded value only in real code; here the
-                    // program stores the known source value so the
-                    // result is verifiable.
-                    value: (i * n + j) as u64,
-                });
-            }
-            v.push(Op::Compute(2));
-            v
+    // Destination row `j`, split into `j / 8` and `j % 8` (the tiled
+    // gather address takes both), then the group `i0 = 8s`.
+    let mut nest = Nest::new(&[n / 8, 8, n / 8]);
+    let j = |[jh, jl, ..]: Index| 8 * jh + jl;
+    for k in 0..8 {
+        let i = |[_, _, s, ..]: Index| 8 * s + k;
+        nest.op(|x| match t.layout {
+            TransposeLayout::RowMajor => load(0xE00, t.src_addr(i(x), j(x))),
+            TransposeLayout::GsDram => pattload(0xE10, t.gather_addr(i(x), j(x)), PatternId(7)),
         })
-    });
-    IterProgram::new(Box::new(ops))
+        // The machine's functional path overwrites the stored value
+        // with the loaded one only in real code; here the program
+        // stores the known source value so the result is verifiable.
+        .op(|x| store(0xE20, t.dst_addr(j(x), i(x)), (i(x) * n + j(x)) as u64));
+    }
+    nest.op(|_| Op::Compute(2));
+    IterProgram::nests(vec![nest])
 }
 
 #[cfg(test)]
