@@ -256,31 +256,9 @@ pub fn run_experiment(def: &ExperimentDef, args: &Args) -> StatsNode {
     assemble(def, args, &outcomes)
 }
 
-/// [`run_experiment`] with a telemetry collector attached to every run:
-/// returns the same stats tree (observation never perturbs simulation,
-/// so it is bit-identical to the untraced one) plus each run's
-/// [`Telemetry`], keyed by spec id in input order. `capacity` bounds
-/// each collector's event/occupancy ring buffers.
-pub fn run_experiment_traced(
-    def: &ExperimentDef,
-    args: &Args,
-    capacity: usize,
-) -> (StatsNode, Vec<(String, Telemetry)>) {
-    let specs = (def.specs)(args);
-    let pairs = sweep::run_traced(&specs, SweepMode::from_args(args), capacity);
-    let (outcomes, telemetry): (Vec<RunOutcome>, Vec<Telemetry>) = pairs.into_iter().unzip();
-    let node = assemble(def, args, &outcomes);
-    let traces = outcomes
-        .iter()
-        .map(|o| o.spec.id.clone())
-        .zip(telemetry)
-        .collect();
-    (node, traces)
-}
-
 /// Folds executed outcomes into the experiment's full stats tree —
-/// the one place the tree shape is defined, shared by the traced and
-/// untraced paths so they cannot drift apart.
+/// the one place the tree shape is defined, shared by [`run_experiment`]
+/// and [`run_named`] so traced and untraced runs cannot drift apart.
 fn assemble(def: &ExperimentDef, args: &Args, outcomes: &[RunOutcome]) -> StatsNode {
     let runs = StatsNode::new("runs").children_from(outcomes.iter().map(RunOutcome::stats));
     StatsNode::new(def.name)
@@ -290,17 +268,15 @@ fn assemble(def: &ExperimentDef, args: &Args, outcomes: &[RunOutcome]) -> StatsN
         .child((def.render)(args, outcomes))
 }
 
-/// Renders each run's per-channel read-latency histogram as an ASCII
-/// table (count/mean/quantiles plus a bar per occupied bucket) — the
-/// `--hist` output of the sweep runner.
-pub fn hist_summary(traces: &[(String, Telemetry)]) -> String {
+/// Renders each run's per-channel read-latency histogram (from its
+/// report) as an ASCII table — count/mean/quantiles plus a bar per
+/// occupied bucket — the `--hist` output of the sweep runner.
+pub fn hist_summary(outcomes: &[RunOutcome]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    for (id, t) in traces {
-        for ch in 0..t.channels() {
-            let Some(h) = t.read_latency(ch) else {
-                continue;
-            };
+    for o in outcomes {
+        let id = &o.spec.id;
+        for (ch, h) in o.report.dram_read_latency.iter().enumerate() {
             if h.is_empty() {
                 continue;
             }
@@ -371,30 +347,35 @@ pub fn check_flags(def: &ExperimentDef, args: &Args) -> Result<(), String> {
 pub fn run_named(name: &str, args: &Args) -> Result<StatsNode, String> {
     let def = resolve(name)?;
     check_flags(def, args)?;
-    let trace_out = args.value("--trace-out");
-    let want_hist = args.flag("--hist");
-    let node = if trace_out.is_some() || want_hist {
-        let capacity = args.usize("--trace-cap", DEFAULT_CAPACITY);
-        let (node, traces) = run_experiment_traced(def, args, capacity);
-        if !args.flag("--quiet") {
-            print!("{}", node.render());
+    let specs = (def.specs)(args);
+    let mode = SweepMode::from_args(args);
+    let (outcomes, trace) = match args.value("--trace-out") {
+        Some(path) => {
+            let capacity = args.usize("--trace-cap", DEFAULT_CAPACITY);
+            let (outcomes, telemetry): (Vec<RunOutcome>, Vec<Telemetry>) =
+                sweep::run_traced(&specs, mode, capacity)
+                    .into_iter()
+                    .unzip();
+            let named: Vec<(String, &Telemetry)> = outcomes
+                .iter()
+                .map(|o| o.spec.id.clone())
+                .zip(&telemetry)
+                .collect();
+            let trace = chrome_trace(&named);
+            (outcomes, Some((path, trace)))
         }
-        if want_hist {
-            print!("{}", hist_summary(&traces));
-        }
-        if let Some(path) = trace_out {
-            let named: Vec<(String, &Telemetry)> =
-                traces.iter().map(|(id, t)| (id.clone(), t)).collect();
-            write_output(&path, &chrome_trace(&named))?;
-        }
-        node
-    } else {
-        let node = run_experiment(def, args);
-        if !args.flag("--quiet") {
-            print!("{}", node.render());
-        }
-        node
+        None => (sweep::run(&specs, mode), None),
     };
+    let node = assemble(def, args, &outcomes);
+    if !args.flag("--quiet") {
+        print!("{}", node.render());
+    }
+    if args.flag("--hist") {
+        print!("{}", hist_summary(&outcomes));
+    }
+    if let Some((path, trace)) = trace {
+        write_output(&path, &trace)?;
+    }
     if let Some(path) = args.value("--json") {
         write_output(&path, &node.to_json_pretty())?;
     }
@@ -1790,6 +1771,38 @@ fn scale_channels_render(_args: &Args, outs: &[RunOutcome]) -> StatsNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hist_summary_skips_empty_channels() {
+        // 16 tuples fill one 8 KiB DRAM row, so the row-interleaved
+        // four-channel machine reads on one channel only.
+        let spec = RunSpec {
+            id: "hist/anal".into(),
+            machine: MachineSpec {
+                channels: 4,
+                ..MachineSpec::table1(1, 1 << 20)
+            },
+            workload: WorkloadSpec::Analytics {
+                layout: Layout::RowStore,
+                tuples: 16,
+                columns: vec![0],
+            },
+        };
+        let outcome = spec.execute();
+        let hists = &outcome.report.dram_read_latency;
+        assert_eq!(hists.len(), 4);
+        let busy: Vec<usize> = (0..4).filter(|&ch| !hists[ch].is_empty()).collect();
+        assert!(!busy.is_empty() && busy.len() < 4, "{busy:?}");
+        let text = hist_summary(std::slice::from_ref(&outcome));
+        let headers: Vec<&str> = text.lines().filter(|l| !l.starts_with(' ')).collect();
+        assert_eq!(headers.len(), busy.len(), "{text}");
+        for (line, ch) in headers.iter().zip(&busy) {
+            assert!(
+                line.starts_with(&format!("hist/anal ch{ch} read latency")),
+                "{line}"
+            );
+        }
+    }
 
     #[test]
     fn registry_names_are_unique_and_findable() {

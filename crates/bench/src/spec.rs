@@ -584,10 +584,9 @@ impl RunSpec {
     }
 
     /// Executes the spec with a telemetry [`Collector`] attached,
-    /// returning the outcome together with everything the collector
-    /// gathered (event ring, histograms, per-pattern/per-bank
-    /// breakdowns). `capacity` bounds the raw-event and occupancy
-    /// ring buffers.
+    /// returning the outcome together with what the collector gathered
+    /// (the raw-event ring and the queue-occupancy timeline).
+    /// `capacity` bounds both ring buffers.
     ///
     /// Observation never perturbs simulation: the outcome (and its
     /// stats tree) is bit-identical to [`RunSpec::execute`].

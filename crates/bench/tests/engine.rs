@@ -3,10 +3,11 @@
 //! emit must survive a JSON round-trip unchanged.
 
 use gsdram_bench::args::Args;
-use gsdram_bench::experiments::{find, run_experiment, run_experiment_traced};
+use gsdram_bench::experiments::{find, run_experiment, run_named};
 use gsdram_bench::spec::{MachineSpec, RunSpec, WorkloadSpec};
 use gsdram_bench::sweep::{run_parallel, run_serial, run_traced, SweepMode};
 use gsdram_core::json::Json;
+use gsdram_core::port::SimEvent;
 use gsdram_core::stats::StatsNode;
 use gsdram_workloads::imdb::{Layout, TxnSpec};
 
@@ -94,9 +95,30 @@ fn traced_sweep_is_bit_identical_to_untraced() {
                 p.spec.id
             );
             assert!(telemetry.total_events() > 0, "{}: no events", p.spec.id);
-            assert!(telemetry.read_latency(0).is_some_and(|h| h.count() > 0));
+            assert!(
+                telemetry
+                    .events()
+                    .any(|e| matches!(e, SimEvent::DramService { write: false, .. })),
+                "{}: no read service retained",
+                p.spec.id
+            );
+            assert!(telemetry.occupancy(0).any(|(_, depth)| depth > 0));
         }
     }
+}
+
+/// A sweep-runner invocation with `--trace-out <tmp>/<file>` appended:
+/// returns the figure stats tree and the Chrome trace it wrote.
+fn traced_sweep(name: &str, args: &[&str], file: &str) -> (StatsNode, String) {
+    let path = format!("{}/{file}", env!("CARGO_TARGET_TMPDIR"));
+    let args = Args::new(
+        args.iter()
+            .copied()
+            .chain(["--trace-out", &path, "--quiet"]),
+    );
+    let node = run_named(name, &args).expect("traced sweep runs");
+    let trace = std::fs::read_to_string(&path).expect("read --trace-out");
+    (node, trace)
 }
 
 /// The acceptance criterion one level up: a whole registry experiment
@@ -108,27 +130,25 @@ fn traced_sweep_is_bit_identical_to_untraced() {
 fn traced_experiment_figure_json_matches_untraced() {
     for name in ["fig10", "scale_channels"] {
         let def = find(name).expect("registered");
-        let args = Args::new(["--tuples", "2048", "--serial"]);
-        let plain = run_experiment(def, &args);
-        let (traced, traces) = run_experiment_traced(def, &args, 4096);
+        let args = ["--tuples", "2048", "--serial"];
+        let plain = run_experiment(def, &Args::new(args));
+        let (traced, chrome) = traced_sweep(name, &args, &format!("engine-{name}.trace.json"));
         assert_eq!(
             plain.to_json_pretty(),
             traced.to_json_pretty(),
             "{name}: tracing changed the figure JSON"
         );
-        assert_eq!(
-            traces.len(),
-            plain.counter_at("total_runs").unwrap() as usize
-        );
-        let chrome = gsdram_telemetry::chrome_trace(
-            &traces
-                .iter()
-                .map(|(id, t)| (id.clone(), t))
-                .collect::<Vec<_>>(),
-        );
         let doc = Json::parse(&chrome).expect("chrome trace parses");
         let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
-        assert!(!events.is_empty(), "{name}: empty trace");
+        let processes = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("process_name"))
+            .count();
+        assert_eq!(
+            processes,
+            plain.counter_at("total_runs").unwrap() as usize,
+            "{name}: one trace process per run"
+        );
     }
 }
 
@@ -145,11 +165,11 @@ fn repeated_runs_are_byte_identical() {
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.stats().to_json(), b.stats().to_json(), "{}", a.spec.id);
     }
-    let def = find("fig10").expect("registered");
-    let args = Args::new(["--tuples", "2048"]);
-    let (t1, _) = run_experiment_traced(def, &args, 2048);
-    let (t2, _) = run_experiment_traced(def, &args, 2048);
-    assert_eq!(t1.to_json_pretty(), t2.to_json_pretty());
+    let args = ["--tuples", "2048", "--trace-cap", "2048"];
+    let (n1, t1) = traced_sweep("fig10", &args, "engine-repeat-1.trace.json");
+    let (n2, t2) = traced_sweep("fig10", &args, "engine-repeat-2.trace.json");
+    assert_eq!(n1.to_json_pretty(), n2.to_json_pretty());
+    assert_eq!(t1, t2, "identical invocations must write identical traces");
 }
 
 /// The same proofs for the pattern engine: a pattern experiment run

@@ -413,6 +413,7 @@ fn trace(args: &Args) -> Result<(), String> {
         return Err(format!("--run matched none of:\n  {}", ids.join("\n  ")));
     }
     let capacity = args.usize("--trace-cap", DEFAULT_CAPACITY);
+    let mut outcomes = Vec::new();
     let mut traces: Vec<(String, Telemetry)> = Vec::new();
     for spec in selected {
         let (outcome, telemetry) = spec.execute_traced(capacity);
@@ -424,10 +425,11 @@ fn trace(args: &Args) -> Result<(), String> {
             telemetry.events().count(),
             telemetry.dropped(),
         );
+        outcomes.push(outcome);
         traces.push((spec.id.clone(), telemetry));
     }
     if args.flag("--hist") {
-        print!("{}", experiments::hist_summary(&traces));
+        print!("{}", experiments::hist_summary(&outcomes));
     }
     let out = args.value("--out").unwrap_or_else(|| "trace.json".into());
     let named: Vec<(String, &Telemetry)> = traces.iter().map(|(id, t)| (id.clone(), t)).collect();

@@ -128,3 +128,37 @@ fn sweep_rejects_flags_the_experiment_does_not_read() {
     assert!(stderr.contains("unknown flag '--bogus'"), "{stderr}");
     assert!(!path.exists(), "a rejected sweep wrote {json}");
 }
+
+/// `sweep --hist` renders each run's report histograms without a trace:
+/// a multi-channel sweep prints per-channel tables and leaves no file
+/// behind in its working directory.
+#[test]
+fn sweep_hist_prints_channel_tables_without_tracing() {
+    let dir: PathBuf = [env!("CARGO_TARGET_TMPDIR"), "cli-sweep-hist"]
+        .iter()
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create working dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_gsdram-sim"))
+        .args([
+            "sweep",
+            "scale_channels",
+            "--tuples",
+            "2048",
+            "--serial",
+            "--quiet",
+            "--hist",
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn gsdram-sim");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.lines().any(|l| l.contains(" ch1 read latency")),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("wrote "), "{stdout}");
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("read working dir").collect();
+    assert!(left.is_empty(), "sweep --hist wrote {left:?}");
+}

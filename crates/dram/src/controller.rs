@@ -473,17 +473,9 @@ impl MemController {
         }
     }
 
-    /// Removes and returns all completions with `at <= up_to`.
-    pub fn take_completions(&mut self, up_to: Cycles) -> Vec<Completion> {
-        let mut done = Vec::new();
-        self.take_completions_into(up_to, &mut done);
-        done
-    }
-
-    /// Allocation-free variant of
-    /// [`take_completions`](Self::take_completions): appends every
-    /// completion with `at <= up_to` to `out` (in recorded order, the
-    /// order delivery relies on) and removes them from the controller.
+    /// Appends every completion with `at <= up_to` to `out` (in
+    /// recorded order, the order delivery relies on) and removes them
+    /// from the controller.
     pub fn take_completions_into(&mut self, up_to: Cycles, out: &mut Vec<Completion>) {
         self.completions.retain(|c| {
             if c.at <= up_to {
@@ -524,7 +516,8 @@ impl MemController {
             .wdrain
             .would_serve(self.writeq.len(), !self.readq.is_empty());
         let queue = if writes { &self.writeq } else { &self.readq };
-        let cands = self.candidates(queue, self.now);
+        let (mut cands, mut best_per_bank) = (Vec::new(), Vec::new());
+        self.candidates_into(queue, self.now, &mut best_per_bank, &mut cands);
         if !cands.is_empty() {
             fold.fold(cands[self.sched.select(&cands)].ready);
         }
@@ -669,17 +662,6 @@ impl MemController {
             t = t.max(bus_ready.saturating_sub(latency));
         }
         t
-    }
-
-    /// Allocating wrapper over
-    /// [`candidates_into`](Self::candidates_into) for `&self` callers
-    /// off the hot path ([`next_event`](Self::next_event) cache
-    /// misses).
-    fn candidates(&self, queue: &[Pending], from: Cycles) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        let mut best_per_bank = Vec::new();
-        self.candidates_into(queue, from, &mut best_per_bank, &mut out);
-        out
     }
 
     /// For one queue, selects the per-bank representative request and
@@ -1077,6 +1059,13 @@ mod tests {
     use crate::mapping::AddressMap;
     use gsdram_core::PatternId;
 
+    /// Every completion with `at <= up_to`, in delivery order.
+    fn take(c: &mut MemController, up_to: Cycles) -> Vec<Completion> {
+        let mut done = Vec::new();
+        c.take_completions_into(up_to, &mut done);
+        done
+    }
+
     fn read_req(id: u64, addr: u64) -> MemRequest {
         MemRequest {
             id,
@@ -1229,7 +1218,7 @@ mod tests {
         let mut c = MemController::new(quiet_cfg());
         c.enqueue(read_req(1, 0), 0);
         c.advance(1000);
-        let done = c.take_completions(1000);
+        let done = take(&mut c, 1000);
         assert_eq!(done.len(), 1);
         let t = TimingParams::ddr3_1600();
         // ACT at 0, READ at tRCD, data at +CL+burst.
@@ -1245,7 +1234,7 @@ mod tests {
         c.enqueue(read_req(1, 0), 0);
         c.enqueue(read_req(2, 64), 0);
         c.advance(1000);
-        let done = c.take_completions(1000);
+        let done = take(&mut c, 1000);
         let t = TimingParams::ddr3_1600();
         assert_eq!(done[1].at - done[0].at, t.ccd);
         assert_eq!(c.stats().row_hits, 1);
@@ -1257,7 +1246,7 @@ mod tests {
         // Row 1 of bank 0 starts at line 128*8 = addr 65536.
         c.enqueue(read_req(2, 65536), 0);
         c.advance(10000);
-        let done = c.take_completions(10000);
+        let done = take(&mut c, 10000);
         assert!(done[1].at - done[0].at > t.ccd * 4);
         assert_eq!(c.stats().row_conflicts, 1);
     }
@@ -1272,7 +1261,7 @@ mod tests {
         c.enqueue(read_req(2, 65536), 50);
         c.enqueue(read_req(3, 64), 50);
         c.advance(10000);
-        let done = c.take_completions(10000);
+        let done = take(&mut c, 10000);
         let pos2 = done.iter().position(|x| x.id == 2).unwrap();
         let pos3 = done.iter().position(|x| x.id == 3).unwrap();
         assert!(done[pos3].at < done[pos2].at, "hit must finish first");
@@ -1329,7 +1318,7 @@ mod tests {
         {
             twin.take_completions_into(Cycles::MAX, &mut expect);
         }
-        let walked = c.take_completions(Cycles::MAX);
+        let walked = take(&mut c, Cycles::MAX);
         assert!(!walked.is_empty());
         assert_eq!(
             walked.iter().map(|x| (x.id, x.at)).collect::<Vec<_>>(),
@@ -1349,7 +1338,7 @@ mod tests {
         c.enqueue(read_req(2, 65536), 50);
         c.enqueue(read_req(3, 64), 50);
         c.advance(20000);
-        let done = c.take_completions(20000);
+        let done = take(&mut c, 20000);
         let pos2 = done.iter().position(|x| x.id == 2).unwrap();
         let pos3 = done.iter().position(|x| x.id == 3).unwrap();
         assert!(done[pos2].at < done[pos3].at, "FCFS must serve older first");
@@ -1361,7 +1350,7 @@ mod tests {
         c.enqueue(write_req(1, 0), 0);
         c.advance(1000);
         assert_eq!(c.stats().writes, 1);
-        assert_eq!(c.take_completions(1000).len(), 1);
+        assert_eq!(take(&mut c, 1000).len(), 1);
     }
 
     #[test]
@@ -1370,7 +1359,7 @@ mod tests {
         c.enqueue(write_req(1, 65536), 0);
         c.enqueue(read_req(2, 0), 0);
         c.advance(10000);
-        let done = c.take_completions(10000);
+        let done = take(&mut c, 10000);
         let pos1 = done.iter().position(|x| x.id == 1).unwrap();
         let pos2 = done.iter().position(|x| x.id == 2).unwrap();
         assert!(
@@ -1421,9 +1410,9 @@ mod tests {
         c.enqueue(read_req(1, 0), 0);
         c.advance(5); // Not enough time for ACT+RCD+READ.
         assert_eq!(c.pending(), 1);
-        assert_eq!(c.take_completions(5).len(), 0);
+        assert_eq!(take(&mut c, 5).len(), 0);
         c.advance(1000);
-        assert_eq!(c.take_completions(1000).len(), 1);
+        assert_eq!(take(&mut c, 1000).len(), 1);
     }
 
     #[test]
@@ -1431,9 +1420,9 @@ mod tests {
         let mut c = MemController::new(quiet_cfg());
         c.enqueue(read_req(1, 0), 500);
         c.advance(400);
-        assert_eq!(c.take_completions(400).len(), 0);
+        assert_eq!(take(&mut c, 400).len(), 0);
         c.advance(2000);
-        let done = c.take_completions(2000);
+        let done = take(&mut c, 2000);
         assert_eq!(done.len(), 1);
         assert!(done[0].at >= 500);
     }
@@ -1445,7 +1434,7 @@ mod tests {
         let mut normal = MemController::new(quiet_cfg());
         normal.enqueue(read_req(1, 0), 0);
         normal.advance(1000);
-        let t_normal = normal.take_completions(1000)[0].at;
+        let t_normal = take(&mut normal, 1000)[0].at;
 
         let mut gs = MemController::new(quiet_cfg());
         gs.enqueue(
@@ -1456,7 +1445,7 @@ mod tests {
             0,
         );
         gs.advance(1000);
-        let t_gs = gs.take_completions(1000)[0].at;
+        let t_gs = take(&mut gs, 1000)[0].at;
         assert_eq!(t_normal, t_gs);
         assert_eq!(t_gs, t.rcd + t.cl + t.burst);
     }
@@ -1469,7 +1458,7 @@ mod tests {
         }
         let end = c.drain();
         assert_eq!(c.pending(), 0);
-        let done = c.take_completions(end);
+        let done = take(&mut c, end);
         assert_eq!(done.len(), 64);
     }
 
@@ -1546,7 +1535,7 @@ mod tests {
             0,
         );
         let end = c.drain();
-        let done = c.take_completions(end);
+        let done = take(&mut c, end);
         let mut ats: Vec<u64> = done.iter().map(|x| x.at).collect();
         ats.sort_unstable();
         assert!(
@@ -1566,7 +1555,7 @@ mod tests {
         c.enable_trace();
         c.enqueue(read_req(1, 0), 0);
         c.advance(1000);
-        assert_eq!(c.take_completions(1000).len(), 1);
+        assert_eq!(take(&mut c, 1000).len(), 1);
         // The row was closed by policy, without any conflicting access.
         assert_eq!(c.stats().precharges, 1);
         // A second access to a different row pays no conflict precharge.
@@ -1588,7 +1577,7 @@ mod tests {
         c.enqueue(read_req(1, 0), 0);
         c.enqueue(read_req(2, 64), 0);
         c.advance(10_000);
-        let done = c.take_completions(10_000);
+        let done = take(&mut c, 10_000);
         let t = TimingParams::ddr3_1600();
         assert_eq!(done[1].at - done[0].at, t.ccd, "second hit not delayed");
     }
@@ -1658,7 +1647,7 @@ mod tests {
             c.enqueue(read_req(i, i * 64 * 997), 0);
         }
         let end = c.drain();
-        c.take_completions(end);
+        take(&mut c, end);
         let s = c.stats();
         let h = c.read_latency_hist();
         assert_eq!(h.count(), s.reads);
@@ -1686,7 +1675,7 @@ mod tests {
         c.set_channel(3);
         c.enqueue(read_req(1, 0), 0);
         c.advance_observed(1000, &mut hub);
-        let done = c.take_completions(1000);
+        let done = take(&mut c, 1000);
         let seen = seen.borrow();
         // A cold read is exactly ACT then READ.
         let kinds: Vec<DramCmdKind> = seen
@@ -1746,7 +1735,7 @@ mod tests {
                 c.advance_observed(t, &mut hub);
             }
             (
-                c.take_completions(t),
+                take(&mut c, t),
                 c.stats(),
                 c.read_latency_hist().clone(),
                 c.queue_depth_hist().clone(),

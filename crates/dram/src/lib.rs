@@ -37,7 +37,9 @@
 //! };
 //! mc.enqueue(req, 0);
 //! mc.advance(1000);
-//! assert_eq!(mc.take_completions(1000).len(), 1);
+//! let mut done = Vec::new();
+//! mc.take_completions_into(1000, &mut done);
+//! assert_eq!(done.len(), 1);
 //! ```
 
 #![warn(missing_docs)]

@@ -57,7 +57,8 @@ fn run_stream(
         );
     }
     let end = mc.drain();
-    let done = mc.take_completions(end);
+    let mut done = Vec::new();
+    mc.take_completions_into(end, &mut done);
     (mc.trace().unwrap().to_vec(), done.len().min(n))
 }
 
@@ -116,7 +117,8 @@ fn latencies_are_physical() {
             );
         }
         let end = mc.drain();
-        let done = mc.take_completions(end);
+        let mut done = Vec::new();
+        mc.take_completions_into(end, &mut done);
         let t = TimingParams::ddr3_1600();
         for c in &done {
             assert!(c.at >= t.cl + t.burst);

@@ -150,17 +150,6 @@ impl SystemConfig {
         self
     }
 
-    /// Converts a CPU-cycle time to memory-controller cycles (floor).
-    pub fn to_mem_cycles(&self, cpu: u64) -> u64 {
-        cpu / self.cpu_per_mem
-    }
-
-    /// Converts a memory-controller cycle to CPU cycles (ceiling, so a
-    /// completion is never reported early).
-    pub fn to_cpu_cycles(&self, mem: u64) -> u64 {
-        mem * self.cpu_per_mem
-    }
-
     /// Seconds represented by `cpu_cycles`.
     // gsdram-lint: allow-block(D5) report-axis unit conversion; never feeds simulated timing
     pub fn seconds(&self, cpu_cycles: u64) -> f64 {
@@ -232,8 +221,6 @@ mod tests {
     #[test]
     fn cycle_conversions() {
         let c = SystemConfig::default();
-        assert_eq!(c.to_mem_cycles(10), 2);
-        assert_eq!(c.to_cpu_cycles(2), 10);
         assert!((c.seconds(4_000_000_000) - 1.0).abs() < 1e-12);
     }
 }

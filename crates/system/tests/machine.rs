@@ -619,10 +619,21 @@ fn collector_attached_run_matches_unobserved_report_json() {
     // And the collector actually captured the DRAM side.
     let t = collector.snapshot();
     assert!(t.total_events() > 0);
-    let lat = t.read_latency(0).expect("channel 0 latency histogram");
-    assert!(lat.count() > 0, "reads must be recorded");
-    assert!(t.patterns().any(|(p, _)| p == 7), "pattern-7 stats present");
-    assert!(t.banks().next().is_some(), "per-bank stats present");
+    assert!(
+        t.events().any(|e| matches!(
+            e,
+            SimEvent::DramService {
+                pattern: PatternId(7),
+                write: false,
+                ..
+            }
+        )),
+        "pattern-7 reads must be retained"
+    );
+    assert!(
+        t.occupancy(0).any(|(_, depth)| depth > 0),
+        "queue occupancy sampled"
+    );
 }
 
 #[test]

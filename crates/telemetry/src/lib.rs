@@ -10,13 +10,15 @@
 //! * [`hist`] — log-bucketed (HDR-style) [`Histogram`]s with exact
 //!   merge: element-wise bucket addition, so merging per-channel
 //!   histograms is bit-identical to having recorded one stream;
-//! * [`collector`] — a bounded ring-buffer [`Collector`] that attaches
-//!   to a machine via `Machine::attach_observer` and folds the event
-//!   stream into histograms, per-pattern and per-bank breakdowns
-//!   (row-hit streaks, chip-conflict counts) and a DRAM queue
-//!   occupancy timeline;
+//! * [`collector`] — a [`Collector`] that attaches to a machine via
+//!   `Machine::attach_observer` and keeps a bounded ring of raw events
+//!   plus a per-channel DRAM queue occupancy timeline;
 //! * [`chrome`] — an exporter to Chrome trace-event JSON, loadable in
-//!   Perfetto (`ui.perfetto.dev`) or `chrome://tracing`;
+//!   Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
+//!
+//! Counts and histograms have one home: the run's report and stats
+//! tree. The memory controller fills the per-channel read-latency and
+//! queue-depth histograms whether or not a collector is attached.
 //!
 //! Generic JSON parsing lives in `gsdram_core::json` (promoted out of
 //! this crate so downstream crates don't reach into telemetry for a
@@ -28,7 +30,7 @@
 //! bench test suites pin).
 //!
 //! ```
-//! use gsdram_core::port::{EventHub, SimEvent, DramCmdKind, RowOutcome};
+//! use gsdram_core::port::{EventHub, SimEvent, RowOutcome};
 //! use gsdram_core::PatternId;
 //! use gsdram_telemetry::Collector;
 //!
@@ -41,7 +43,8 @@
 //!     arrived_at_mem: 100, done_at_mem: 130,
 //! });
 //! let t = collector.snapshot();
-//! assert_eq!(t.read_latency(0).unwrap().count(), 1);
+//! assert_eq!((t.total_events(), t.channels()), (1, 1));
+//! assert!(matches!(t.events().next(), Some(SimEvent::DramService { bank: 3, .. })));
 //! ```
 //!
 //! [`SimEvent`]: gsdram_core::port::SimEvent
@@ -56,5 +59,5 @@ pub mod collector;
 pub mod hist;
 
 pub use chrome::chrome_trace;
-pub use collector::{Collector, DecisionStats, Telemetry, DEFAULT_CAPACITY};
+pub use collector::{Collector, Telemetry, DEFAULT_CAPACITY};
 pub use hist::Histogram;
