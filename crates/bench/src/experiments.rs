@@ -356,9 +356,9 @@ pub fn run_named(name: &str, args: &Args) -> Result<StatsNode, String> {
                 sweep::run_traced(&specs, mode, capacity)
                     .into_iter()
                     .unzip();
-            let named: Vec<(String, &Telemetry)> = outcomes
+            let named: Vec<(&str, &Telemetry)> = outcomes
                 .iter()
-                .map(|o| o.spec.id.clone())
+                .map(|o| o.spec.id.as_str())
                 .zip(&telemetry)
                 .collect();
             let trace = chrome_trace(&named);

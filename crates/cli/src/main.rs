@@ -414,7 +414,7 @@ fn trace(args: &Args) -> Result<(), String> {
     }
     let capacity = args.usize("--trace-cap", DEFAULT_CAPACITY);
     let mut outcomes = Vec::new();
-    let mut traces: Vec<(String, Telemetry)> = Vec::new();
+    let mut traces: Vec<(&str, Telemetry)> = Vec::new();
     for spec in selected {
         let (outcome, telemetry) = spec.execute_traced(capacity);
         println!(
@@ -426,13 +426,13 @@ fn trace(args: &Args) -> Result<(), String> {
             telemetry.dropped(),
         );
         outcomes.push(outcome);
-        traces.push((spec.id.clone(), telemetry));
+        traces.push((&spec.id, telemetry));
     }
     if args.flag("--hist") {
         print!("{}", experiments::hist_summary(&outcomes));
     }
     let out = args.value("--out").unwrap_or_else(|| "trace.json".into());
-    let named: Vec<(String, &Telemetry)> = traces.iter().map(|(id, t)| (id.clone(), t)).collect();
+    let named: Vec<(&str, &Telemetry)> = traces.iter().map(|(id, t)| (*id, t)).collect();
     write_output(&out, &chrome_trace(&named))
 }
 

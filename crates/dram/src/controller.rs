@@ -313,6 +313,11 @@ pub struct MemController {
     seq: u64,
     energy: EnergyMeter,
     energy_cursor: Cycles,
+    /// Whether any bank of any rank has a row open: the background
+    /// power state every energy accrual reads. Rows open and close only
+    /// in [`issue`](Self::issue), which keeps this flag, so accrual
+    /// needs no bank scan.
+    any_bank_active: bool,
     stats: ControllerStats,
     /// Banks scheduled for a closed-row-policy precharge.
     pending_close: Vec<(usize, usize)>,
@@ -373,6 +378,7 @@ impl MemController {
             seq: 0,
             energy,
             energy_cursor: 0,
+            any_bank_active: false,
             stats: ControllerStats::default(),
             pending_close: Vec::new(),
             trace: None,
@@ -530,7 +536,12 @@ impl MemController {
     fn accrue_energy(&mut self, to: Cycles) {
         if to > self.energy_cursor {
             let delta = to - self.energy_cursor;
-            let active = self.ranks.iter().any(Rank::any_bank_active);
+            let active = self.any_bank_active;
+            debug_assert_eq!(
+                active,
+                self.ranks.iter().any(Rank::any_bank_active),
+                "cached open-row flag out of step with the banks"
+            );
             if !active && self.pending() == 0 {
                 // A genuinely idle gap: eligible for precharge
                 // power-down.
@@ -560,10 +571,14 @@ impl MemController {
         self.cmd_bus_at = self.cmd_bus_at.max(at + 1);
         match cmd {
             DramCommand::Activate { .. } => {
+                self.any_bank_active = true;
                 self.stats.activates += 1;
                 self.energy.on_activate();
             }
-            DramCommand::Precharge { .. } => self.stats.precharges += 1,
+            DramCommand::Precharge { .. } => {
+                self.any_bank_active = self.ranks.iter().any(Rank::any_bank_active);
+                self.stats.precharges += 1;
+            }
             DramCommand::Read { .. } => self.energy.on_read(64),
             DramCommand::Write { .. } => self.energy.on_write(64),
             DramCommand::Refresh => {
@@ -767,14 +782,15 @@ impl MemController {
         self.accrue_energy(self.now);
     }
 
-    /// Whether advancing to `to` is provably a no-op for observers: the
-    /// cached horizon shows no command can issue by `to` and no
-    /// recorded completion is due by then. Deliberately cheap — a stale
-    /// horizon answers `false` rather than triggering a scheduling
-    /// scan, so callers can use this as a per-sync fast-path guard
-    /// (see `DramBridge::quiescent_until` in gsdram-system).
-    pub fn quiescent_until(&self, to: Cycles) -> bool {
-        self.time_skip && self.horizon.skips(to) && self.completions.iter().all(|c| c.at > to)
+    /// [`advance_observed`](Self::advance_observed), returning whether
+    /// a recorded completion is due by `to` — the one pass a per-op
+    /// sync needs. On a quiet stretch (the cached horizon skips `to`,
+    /// nothing is due) it costs one horizon compare, the clock leap,
+    /// the energy accrual and a scan of the usually empty completion
+    /// list; `false` means there is nothing to collect through `to`.
+    pub fn advance_polled(&mut self, to: Cycles, events: &mut EventHub) -> bool {
+        self.advance_observed(to, events);
+        self.completions.iter().any(|c| c.at <= to)
     }
 
     /// The earliest recorded completion time, if any.

@@ -455,11 +455,16 @@ impl DramBridge {
     }
 
     /// Advances every channel (clock and energy cursor) to `t_mem`, one
-    /// controller after another.
-    pub(crate) fn advance_all(&mut self, t_mem: u64, events: &mut EventHub) {
+    /// controller after another, and returns whether any channel now
+    /// holds a completion due by `t_mem`. Each controller is checked
+    /// once: a channel whose cached horizon skips `t_mem` only leaps its
+    /// clock and accrues its energy.
+    pub(crate) fn advance_all(&mut self, t_mem: u64, events: &mut EventHub) -> bool {
+        let mut due = false;
         for c in &mut self.controllers {
-            c.advance_observed(t_mem, events);
+            due |= c.advance_polled(t_mem, events);
         }
+        due
     }
 
     /// The exact next memory-clock cycle at which any channel's state
@@ -473,14 +478,6 @@ impl DramBridge {
             fold.fold_opt(c.peek_completion());
         }
         fold.earliest()
-    }
-
-    /// Whether every channel is provably quiet through memory cycle
-    /// `t_mem`: no command can issue and no completion becomes due.
-    /// Cheap (cached horizons only, no scheduling scans), so the
-    /// per-op sync path can use it as a leap guard.
-    pub(crate) fn quiescent_until(&self, t_mem: u64) -> bool {
-        self.controllers.iter().all(|c| c.quiescent_until(t_mem))
     }
 
     /// Drains the completions due by `t_mem` on channel `ch` into
@@ -631,21 +628,19 @@ impl Machine {
     }
 
     /// Advances the memory system to CPU time `t`, delivering any
-    /// completions.
-    pub(crate) fn sync_memory(&mut self, t_cpu: u64, programs: &mut [&mut dyn Program]) {
+    /// completions. Returns whether a fetch was delivered, i.e. whether
+    /// a waiting core may have woken.
+    pub(crate) fn sync_memory(&mut self, t_cpu: u64, programs: &mut [&mut dyn Program]) -> bool {
         let t_mem = self.bridge.to_mem(t_cpu);
-        if self.bridge.quiescent_until(t_mem) {
-            // Every channel's horizon proves nothing can issue and no
-            // completion comes due by `t_mem`: leap the clocks and skip
-            // the completion-polling loop.
-            self.bridge.advance_all(t_mem, &mut self.events);
-            return;
-        }
         // Advance every channel to the horizon first, then drain and
         // deliver per channel. Delivery can enqueue fresh writebacks;
         // those land at or after `t_mem` and are processed by the next
-        // sync, on every path identically.
-        self.bridge.advance_all(t_mem, &mut self.events);
+        // sync, on every path identically. With no completion due
+        // (the common, quiet case) there is nothing to drain.
+        if !self.bridge.advance_all(t_mem, &mut self.events) {
+            return false;
+        }
+        let mut delivered = false;
         let mut comps = std::mem::take(&mut self.comp_buf);
         for ch in 0..self.bridge.channels() {
             comps.clear();
@@ -654,10 +649,12 @@ impl Machine {
             for c in comps.drain(..) {
                 if let Some(done) = self.bridge.note_completion(c, &mut self.events) {
                     self.deliver(done, programs);
+                    delivered = true;
                 }
             }
         }
         self.comp_buf = comps;
+        delivered
     }
 
     /// All active cores are blocked: advance DRAM until at least one

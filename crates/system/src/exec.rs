@@ -2,12 +2,15 @@
 //! interleaves N in-order cores with the memory system.
 //!
 //! Each core owns a local clock; the scheduler always steps the
-//! earliest runnable (not done, not waiting on DRAM) core, bringing the
-//! memory system up to that core's time first so completions that wake
-//! an earlier core are never missed. Memory operations leave the core
-//! through the port types of [`gsdram_core::port`]: the scheduler
-//! translates each [`Op`] into a [`MemReq`] and hands it to the access
-//! path in [`crate::hier`].
+//! earliest runnable (not done, not waiting on DRAM) core, ties going to
+//! the lower core index, bringing the memory system up to that core's
+//! time first so completions that wake an earlier core are never
+//! missed. The pick is kept across ops (a `Turn`) and made again only
+//! when it can change: after a delivery, when the running core blocks
+//! or finishes, or when its clock passes the next runnable core's.
+//! Memory operations leave the core through the port types of
+//! [`gsdram_core::port`]: the scheduler translates each [`Op`] into a
+//! [`MemReq`] and hands it to the access path in [`crate::hier`].
 
 use gsdram_core::port::{MemReq, ReqKind};
 
@@ -100,6 +103,35 @@ impl CoreSet {
             .map(|(i, c)| (i, c.time))
     }
 
+    /// The earliest runnable core as a [`Turn`]: the same core
+    /// [`pick_runnable`](Self::pick_runnable) returns (least clock,
+    /// then least index), with the runner-up's `(time, index)`.
+    pub(crate) fn pick_turn(&self) -> Option<Turn> {
+        let mut best: Option<(u64, usize)> = None;
+        let mut rival: Option<(u64, usize)> = None;
+        for (i, c) in self.cores.iter().enumerate() {
+            if c.done || c.waiting {
+                continue;
+            }
+            let key = (c.time, i);
+            if best.is_none_or(|b| key < b) {
+                rival = best;
+                best = Some(key);
+            } else if rival.is_none_or(|r| key < r) {
+                rival = Some(key);
+            }
+        }
+        best.map(|(_, core)| Turn { core, rival })
+    }
+
+    /// Whether the run has reached `stop`.
+    fn stopped(&self, stop: StopWhen) -> bool {
+        match stop {
+            StopWhen::AllDone => self.all_done(),
+            StopWhen::CoreDone(i) => self.cores[i].done,
+        }
+    }
+
     pub(crate) fn all_done(&self) -> bool {
         self.cores.iter().all(|c| c.done)
     }
@@ -115,6 +147,26 @@ impl CoreSet {
     /// covers (time-skip contract of `gsdram_core::time`).
     pub(crate) fn next_ready_time(&self) -> Option<u64> {
         self.pick_runnable().map(|(_, t)| t)
+    }
+}
+
+/// The running core's turn: the core [`CoreSet::pick_runnable`] would
+/// pick, kept while no other core can overtake it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Turn {
+    /// The running core.
+    core: usize,
+    /// The next runnable core's `(time, index)`, `None` when it runs
+    /// alone. Only a delivery changes another core's state, so the
+    /// running core keeps its turn while `(time, core) < rival`.
+    rival: Option<(u64, usize)>,
+}
+
+impl Turn {
+    /// Whether `core`, runnable at `time`, still precedes every other
+    /// runnable core.
+    fn keeps(&self, time: u64) -> bool {
+        self.rival.is_none_or(|r| (time, self.core) < r)
     }
 }
 
@@ -134,85 +186,235 @@ impl Machine {
     ) -> crate::report::RunReport {
         assert_eq!(programs.len(), self.cores.len(), "one program per core");
         let start = self.cores.start();
+        if !self.cores.stopped(stop) {
+            self.run_turns(programs, stop);
+        }
+        self.report(stop, start, programs)
+    }
 
+    /// The run loop: every op (the final `None` included) first syncs
+    /// memory to its core's clock, exactly once. The pick is made again
+    /// only when it can change — after a delivery, when the running
+    /// core blocks or finishes, or when its clock passes the rival's —
+    /// and `stop` is checked only when a core finishes, the one event
+    /// that can reach it.
+    fn run_turns(&mut self, programs: &mut [&mut dyn Program], stop: StopWhen) {
+        let mut turn = self.cores.pick_turn();
         loop {
-            // Stop condition.
-            let stop_hit = match stop {
-                StopWhen::AllDone => self.cores.all_done(),
-                StopWhen::CoreDone(i) => self.cores.core(i).done,
-            };
-            if stop_hit {
-                break;
-            }
-
-            // Pick the earliest runnable core.
-            let Some((i, t)) = self.cores.pick_runnable() else {
-                if self.cores.all_done() {
-                    break;
-                }
+            let Some(Turn { core: picked, .. }) = turn else {
+                // Every unfinished core waits on DRAM.
                 self.advance_until_completion(programs);
+                turn = self.cores.pick_turn();
                 continue;
             };
-
-            // Bring memory up to date; a delivered completion may wake an
-            // earlier core, so re-pick.
-            self.sync_memory(t, programs);
-            let i = self.cores.pick_runnable().map(|(i, _)| i).unwrap_or(i);
-
-            match programs[i].next_op() {
-                None => {
-                    self.cores.core_mut(i).done = true;
+            // A delivered completion may wake an earlier core: re-pick.
+            if self.sync_memory(self.cores.core(picked).time, programs) {
+                turn = self.cores.pick_turn();
+            }
+            let i = turn.map_or(picked, |t| t.core);
+            let Some(op) = programs[i].next_op() else {
+                self.cores.core_mut(i).done = true;
+                if self.cores.stopped(stop) {
+                    return;
                 }
-                Some(op) => {
-                    let core = self.cores.core_mut(i);
-                    core.ops += 1;
-                    // gsdram-lint: allow(D7) the issue slot spends one cycle of dispatch bandwidth per op; it is not a stepped simulation clock
-                    core.time += 1; // issue slot
-                    match op {
-                        Op::Compute(c) => {
-                            self.cores.core_mut(i).time += c as u64;
-                        }
-                        Op::Load { pc, addr, pattern } => {
-                            let req = MemReq {
-                                pc,
-                                addr,
-                                pattern,
-                                kind: ReqKind::Load,
-                            };
-                            if let Some(resp) = self.access(i, req) {
-                                programs[i].on_load_value(resp.value);
-                            }
-                        }
-                        Op::Load16 { pc, addr, pattern } => {
-                            let req = MemReq {
-                                pc,
-                                addr,
-                                pattern,
-                                kind: ReqKind::LoadWide,
-                            };
-                            if let Some(resp) = self.access(i, req) {
-                                programs[i].on_load_value(resp.value);
-                            }
-                        }
-                        Op::Store {
-                            pc,
-                            addr,
-                            pattern,
-                            value,
-                        } => {
-                            let req = MemReq {
-                                pc,
-                                addr,
-                                pattern,
-                                kind: ReqKind::Store(value),
-                            };
-                            self.access(i, req);
-                        }
-                    }
-                }
+                turn = self.cores.pick_turn();
+                continue;
+            };
+            self.execute(i, op, programs);
+            let core = self.cores.core(i);
+            if core.waiting || !turn.is_some_and(|t| t.keeps(core.time)) {
+                turn = self.cores.pick_turn();
             }
         }
+    }
 
-        self.report(stop, start, programs)
+    /// Executes one op on core `i` at its clock: the issue slot, then
+    /// the compute delay or the memory access (a load's value goes
+    /// back to the program when it completes synchronously).
+    fn execute(&mut self, i: usize, op: Op, programs: &mut [&mut dyn Program]) {
+        let core = self.cores.core_mut(i);
+        core.ops += 1;
+        // gsdram-lint: allow(D7) the issue slot spends one cycle of dispatch bandwidth per op; it is not a stepped simulation clock
+        core.time += 1; // issue slot
+        let (pc, addr, pattern, kind) = match op {
+            Op::Compute(c) => {
+                core.time += c as u64;
+                return;
+            }
+            Op::Load { pc, addr, pattern } => (pc, addr, pattern, ReqKind::Load),
+            Op::Load16 { pc, addr, pattern } => (pc, addr, pattern, ReqKind::LoadWide),
+            Op::Store {
+                pc,
+                addr,
+                pattern,
+                value,
+            } => (pc, addr, pattern, ReqKind::Store(value)),
+        };
+        let req = MemReq {
+            pc,
+            addr,
+            pattern,
+            kind,
+        };
+        let load = req.store_value().is_none();
+        if let Some(resp) = self.access(i, req) {
+            if load {
+                programs[i].on_load_value(resp.value);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The run loop against a reference that picks before and after
+    //! every sync and checks the stop condition on every iteration.
+
+    use gsdram_core::rng::SplitMix;
+    use gsdram_core::stats::ReportStats;
+    use gsdram_core::{cast, PatternId};
+
+    use super::*;
+    use crate::config::SystemConfig;
+    use crate::ops::ScriptedProgram;
+    use crate::report::RunReport;
+
+    impl Machine {
+        /// The straightforward loop: stop check, pick, sync, pick again,
+        /// one op — every iteration.
+        fn run_reference(
+            &mut self,
+            programs: &mut [&mut dyn Program],
+            stop: StopWhen,
+        ) -> RunReport {
+            assert_eq!(programs.len(), self.cores.len(), "one program per core");
+            let start = self.cores.start();
+            loop {
+                if self.cores.stopped(stop) {
+                    break;
+                }
+                let Some((i, t)) = self.cores.pick_runnable() else {
+                    if self.cores.all_done() {
+                        break;
+                    }
+                    self.advance_until_completion(programs);
+                    continue;
+                };
+                self.sync_memory(t, programs);
+                let i = self.cores.pick_runnable().map_or(i, |(i, _)| i);
+                match programs[i].next_op() {
+                    None => self.cores.core_mut(i).done = true,
+                    Some(op) => self.execute(i, op, programs),
+                }
+            }
+            self.report(stop, start, programs)
+        }
+    }
+
+    const LINES: u64 = 256;
+
+    /// One core's ops over a plain region at `plain` and a shuffled
+    /// pattern-7 region at `shuffled` (both `LINES` lines): loads, wide
+    /// loads and stores of both patterns, and short computes (zero
+    /// included, so clocks tie).
+    fn script(rng: &mut SplitMix, plain: u64, shuffled: u64) -> Vec<Op> {
+        let n = rng.range(1, 160);
+        (0..n)
+            .map(|k| {
+                let alt = rng.below(3) == 0;
+                let (base, pattern) = match (alt, rng.flip()) {
+                    (true, _) => (shuffled, PatternId(7)),
+                    (false, true) => (shuffled, PatternId::DEFAULT),
+                    (false, false) => (plain, PatternId::DEFAULT),
+                };
+                let addr = base + rng.below(LINES) * 64 + rng.below(8) * 8;
+                let pc = 1 + k % 5;
+                match rng.below(8) {
+                    0..=2 => Op::Load { pc, addr, pattern },
+                    3 => Op::Load16 {
+                        pc,
+                        addr: addr & !15,
+                        pattern,
+                    },
+                    4 | 5 => Op::Store {
+                        pc,
+                        addr,
+                        pattern,
+                        value: rng.next_u64(),
+                    },
+                    _ => Op::Compute(cast::to_u32(rng.below(4))),
+                }
+            })
+            .collect()
+    }
+
+    /// Stats JSON and every program's loaded values after one run.
+    fn outcome(
+        m: &mut Machine,
+        scripts: &[Vec<Op>],
+        stop: StopWhen,
+        reference: bool,
+    ) -> (String, Vec<Vec<u64>>) {
+        let mut progs: Vec<ScriptedProgram> = scripts
+            .iter()
+            .map(|s| ScriptedProgram::new(s.clone()))
+            .collect();
+        let report = {
+            let mut programs: Vec<&mut dyn Program> =
+                progs.iter_mut().map(|p| p as &mut dyn Program).collect();
+            if reference {
+                m.run_reference(&mut programs, stop)
+            } else {
+                m.run(&mut programs, stop)
+            }
+        };
+        let values = progs.iter().map(|p| p.loaded_values().to_vec()).collect();
+        (report.stats_node("run").to_json(), values)
+    }
+
+    fn machine(cores: usize, seed: u64) -> (Machine, u64, u64) {
+        let mut cfg = SystemConfig::table1(cores, 1 << 20);
+        if seed.is_multiple_of(3) {
+            cfg = cfg.with_prefetch();
+        }
+        if seed.is_multiple_of(5) {
+            cfg = cfg.with_channels(2);
+        }
+        let mut m = Machine::new(cfg);
+        let plain = m.malloc(LINES * 64);
+        let shuffled = m.pattmalloc(LINES * 64, true, PatternId(7));
+        for w in 0..LINES * 8 {
+            m.poke(plain + w * 8, w);
+            m.poke(shuffled + w * 8, !w);
+        }
+        (m, plain, shuffled)
+    }
+
+    #[test]
+    fn run_matches_the_reference_loop() {
+        for seed in 0..240u64 {
+            let cores = 1 + cast::to_usize(seed % 4);
+            let stop = if seed.is_multiple_of(2) {
+                StopWhen::AllDone
+            } else {
+                StopWhen::CoreDone(cast::to_usize((seed / 2) % cast::widen(cores)))
+            };
+            let (mut fast, plain, shuffled) = machine(cores, seed);
+            let (mut slow, _, _) = machine(cores, seed);
+            let mut rng = SplitMix(seed);
+            // After an all-done run, a second run on the same machine
+            // starts from aligned clocks and warm caches. A `CoreDone`
+            // cut-off can leave a core's fetch in flight, which a later
+            // run would deliver into a fresh program, so it runs once.
+            let runs = if stop == StopWhen::AllDone { 2 } else { 1 };
+            for run in 0..runs {
+                let scripts: Vec<Vec<Op>> = (0..cores)
+                    .map(|_| script(&mut rng, plain, shuffled))
+                    .collect();
+                let got = outcome(&mut fast, &scripts, stop, false);
+                let want = outcome(&mut slow, &scripts, stop, true);
+                assert_eq!(got, want, "seed {seed}, run {run}, {cores} cores, {stop:?}");
+            }
+        }
     }
 }

@@ -79,7 +79,7 @@ fn outcome_name(outcome: RowOutcome) -> &'static str {
 /// Renders `runs` — `(run id, telemetry)` pairs — as one Chrome
 /// trace-event JSON document. Each run becomes one process (`pid` =
 /// run index); each DRAM channel one thread within it.
-pub fn chrome_trace(runs: &[(String, &Telemetry)]) -> String {
+pub fn chrome_trace(runs: &[(&str, &Telemetry)]) -> String {
     let mut entries: Vec<Entry> = Vec::new();
     let mut seq = 0usize;
     let mut push = |entries: &mut Vec<Entry>, ts: u64, json: String| {
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn trace_parses_and_timestamps_are_monotone() {
         let t = capture();
-        let text = chrome_trace(&[("demo".to_string(), &t)]);
+        let text = chrome_trace(&[("demo", &t)]);
         let doc = Json::parse(&text).expect("well-formed JSON");
         let events = doc
             .get("traceEvents")
@@ -265,8 +265,8 @@ mod tests {
 
     #[test]
     fn identical_captures_render_identically() {
-        let a = chrome_trace(&[("x".to_string(), &capture())]);
-        let b = chrome_trace(&[("x".to_string(), &capture())]);
+        let a = chrome_trace(&[("x", &capture())]);
+        let b = chrome_trace(&[("x", &capture())]);
         assert_eq!(a, b);
     }
 }
