@@ -176,6 +176,8 @@ impl Slot {
 pub struct SetAssocCache {
     cfg: CacheConfig,
     sets: Vec<Vec<Slot>>,
+    /// log2 of the line size: a key's line index is `addr >> line_shift`.
+    line_shift: u32,
     lru_gen: u64,
     stats: CacheStats,
 }
@@ -185,10 +187,15 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration does not divide into a whole power-of-
-    /// two number of sets.
+    /// Panics if the line size is not a power of two or the
+    /// configuration does not divide into a whole power-of-two number of
+    /// sets.
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
+        assert!(
+            cfg.line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         assert!(
             sets > 0 && sets.is_power_of_two(),
             "set count must be a power of two"
@@ -196,6 +203,7 @@ impl SetAssocCache {
         SetAssocCache {
             cfg,
             sets: vec![Vec::with_capacity(cfg.assoc); sets],
+            line_shift: cfg.line_bytes.trailing_zeros(),
             lru_gen: 0,
             stats: CacheStats::default(),
         }
@@ -212,8 +220,9 @@ impl SetAssocCache {
     }
 
     fn set_index(&self, key: LineKey) -> usize {
-        let line = key.addr / cast::widen(self.cfg.line_bytes);
-        cast::to_usize(line % cast::widen(self.sets.len()))
+        // Both counts are powers of two (asserted in `new`): the set is
+        // the low bits of the line index.
+        cast::to_usize((key.addr >> self.line_shift) & cast::widen(self.sets.len() - 1))
     }
 
     /// The set and way holding `key`, if resident.
@@ -310,7 +319,6 @@ impl SetAssocCache {
             self.cfg.words_per_line(),
             "fill data must be one line"
         );
-        assert!(!self.contains(key), "double fill of {key:?}");
         self.lru_gen += 1;
         let set_idx = self.set_index(key);
         let new_slot = Slot {
@@ -320,10 +328,17 @@ impl SetAssocCache {
             data: data.to_vec(),
         };
         let set = &mut self.sets[set_idx];
-        // A full set gives up its least recently used way.
-        let lru_way = (set.iter().enumerate())
-            .min_by_key(|(_, s)| s.lru)
-            .map(|(way, _)| way)
+        // One pass over the set both rules out a resident copy and finds
+        // the least recently used way, which a full set gives up.
+        let mut lru: Option<(u64, usize)> = None;
+        for (way, s) in set.iter().enumerate() {
+            assert!(s.key != key, "double fill of {key:?}");
+            if lru.is_none_or(|(oldest, _)| s.lru < oldest) {
+                lru = Some((s.lru, way));
+            }
+        }
+        let lru_way = lru
+            .map(|(_, way)| way)
             .filter(|_| set.len() >= self.cfg.assoc);
         let (way, victim) = match lru_way {
             Some(way) => {
@@ -419,6 +434,39 @@ mod tests {
         assert_eq!(key(0x1009).addr, 0x1000);
         assert_eq!(key(0x103f).addr, 0x1000);
         assert_eq!(key(0x1040).addr, 0x1040);
+    }
+
+    #[test]
+    fn set_index_is_the_line_index_modulo_the_set_count() {
+        // 16 KB, 4-way, 128 B lines: 32 sets.
+        let c = SetAssocCache::new(CacheConfig {
+            size_bytes: 16 * 1024,
+            assoc: 4,
+            line_bytes: 128,
+            latency: 1,
+        });
+        assert_eq!(c.sets.len(), 32);
+        let mut rng = gsdram_core::rng::SplitMix(0x5E7);
+        let fixed = [0, 127, 128, 4095, 4096, 0x1234_5678, u64::MAX];
+        for addr in fixed.into_iter().chain((0..4096).map(|_| rng.next_u64())) {
+            let key = LineKey::new(addr, 128, PatternId(3));
+            assert_eq!(
+                c.set_index(key),
+                cast::to_usize(addr / 128 % 32),
+                "{addr:#x}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn rejects_a_line_size_that_is_not_a_power_of_two() {
+        let _ = SetAssocCache::new(CacheConfig {
+            size_bytes: 96 * 4 * 32,
+            assoc: 4,
+            line_bytes: 96,
+            latency: 1,
+        });
     }
 
     #[test]

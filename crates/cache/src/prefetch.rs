@@ -50,7 +50,8 @@ impl ReportStats for PrefetchStats {
 pub struct StridePrefetcher {
     table: Vec<Option<Entry>>,
     degree: usize,
-    line_bytes: u64,
+    /// log2 of the line size.
+    line_shift: u32,
     stats: PrefetchStats,
 }
 
@@ -64,13 +65,18 @@ impl StridePrefetcher {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a power of two or `degree` is zero.
+    /// Panics if `entries` or `line_bytes` is not a power of two or
+    /// `degree` is zero.
     pub fn new(degree: usize, entries: usize, line_bytes: u64) -> Self {
         assert!(entries.is_power_of_two() && degree > 0);
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         StridePrefetcher {
             table: vec![None; entries],
             degree,
-            line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
             stats: PrefetchStats::default(),
         }
     }
@@ -103,7 +109,7 @@ impl StridePrefetcher {
                 }
                 e.last_addr = addr;
                 if e.confidence >= 2 {
-                    let cur_line = addr / self.line_bytes;
+                    let cur_line = addr >> self.line_shift;
                     let mut seen_last = cur_line;
                     let degree = cast::signed(cast::widen(self.degree));
                     for d in 1..=degree {
@@ -111,9 +117,9 @@ impl StridePrefetcher {
                         if target < 0 {
                             break;
                         }
-                        let line = cast::unsigned(target) / self.line_bytes;
+                        let line = cast::unsigned(target) >> self.line_shift;
                         if line != seen_last {
-                            out.push(line * self.line_bytes);
+                            out.push(line << self.line_shift);
                             seen_last = line;
                         }
                     }

@@ -143,12 +143,45 @@ impl EnergyBreakdown {
     }
 }
 
+/// Background gaps shorter than this many cycles take their charge
+/// from a table; longer ones evaluate [`charge_nj`].
+const GAP_TABLE_CYCLES: usize = 64;
+
+/// A meter's charges, each evaluated once at construction by the same
+/// expression the formula path uses, so every looked-up value is
+/// bit-identical to computing it on the spot.
+#[derive(Debug, Clone)]
+struct Charges {
+    /// Active standby (IDD3N) for `0..GAP_TABLE_CYCLES` cycles.
+    active: [f64; GAP_TABLE_CYCLES],
+    /// Precharged standby (IDD2N) for `0..GAP_TABLE_CYCLES` cycles.
+    precharged: [f64; GAP_TABLE_CYCLES],
+    /// Precharge power-down (IDD2P) for `0..GAP_TABLE_CYCLES` cycles.
+    powerdown: [f64; GAP_TABLE_CYCLES],
+    /// One ACTIVATE-PRECHARGE pair.
+    activate: f64,
+    /// One read burst, I/O excluded.
+    read: f64,
+    /// One write burst, I/O excluded.
+    write: f64,
+    /// One all-bank refresh.
+    refresh: f64,
+}
+
+/// The charge of `cycles` memory cycles at `current_ma` per chip, in
+/// nJ: mA × V × ns = pJ, over the whole rank, divided by 1000.
+fn charge_nj(power: &PowerParams, timing: &TimingParams, current_ma: f64, cycles: Cycles) -> f64 {
+    let ns = timing.cycles_to_ns(cycles);
+    current_ma * power.vdd * ns * power.chips as f64 / 1000.0
+}
+
 /// Energy meter fed by the memory controller as it issues commands and
 /// advances time.
 #[derive(Debug, Clone)]
 pub struct EnergyMeter {
     power: PowerParams,
     timing: TimingParams,
+    charges: Charges,
     acc: EnergyBreakdown,
     /// Cycles spent with at least one bank active / all precharged.
     active_cycles: Cycles,
@@ -160,9 +193,26 @@ pub struct EnergyMeter {
 impl EnergyMeter {
     /// A meter for the given device parameters.
     pub fn new(power: PowerParams, timing: TimingParams) -> Self {
+        let table = |current_ma: f64| {
+            std::array::from_fn(|c| charge_nj(&power, &timing, current_ma, c as Cycles))
+        };
+        let (p, t) = (&power, &timing);
+        let charges = Charges {
+            active: table(p.idd3n),
+            precharged: table(p.idd2n),
+            powerdown: table(p.idd2p),
+            // Micron TN-41-01: E = (IDD0·tRC − IDD3N·tRAS − IDD2N·(tRC−tRAS))·VDD
+            activate: charge_nj(p, t, p.idd0, t.rc)
+                - charge_nj(p, t, p.idd3n, t.ras)
+                - charge_nj(p, t, p.idd2n, t.rc - t.ras),
+            read: charge_nj(p, t, p.idd4r - p.idd3n, t.burst),
+            write: charge_nj(p, t, p.idd4w - p.idd3n, t.burst),
+            refresh: charge_nj(p, t, p.idd5 - p.idd2n, t.rfc),
+        };
         EnergyMeter {
             power,
             timing,
+            charges,
             acc: EnergyBreakdown::default(),
             active_cycles: 0,
             precharged_cycles: 0,
@@ -170,37 +220,35 @@ impl EnergyMeter {
         }
     }
 
-    fn charge_nj(&self, current_ma: f64, cycles: Cycles) -> f64 {
-        // mA × V × ns = pJ; divide by 1000 for nJ. Multiply by rank size.
-        let ns = self.timing.cycles_to_ns(cycles);
-        current_ma * self.power.vdd * ns * self.power.chips as f64 / 1000.0
+    /// The charge of `cycles` at `current_ma`: the table entry below
+    /// [`GAP_TABLE_CYCLES`], [`charge_nj`] from there up.
+    fn gap_nj(&self, table: &[f64; GAP_TABLE_CYCLES], current_ma: f64, cycles: Cycles) -> f64 {
+        match usize::try_from(cycles).ok().and_then(|c| table.get(c)) {
+            Some(&nj) => nj,
+            None => charge_nj(&self.power, &self.timing, current_ma, cycles),
+        }
     }
 
     /// Records one ACTIVATE-PRECHARGE pair (charged at ACT issue).
     pub fn on_activate(&mut self) {
-        // Micron TN-41-01: E = (IDD0·tRC − IDD3N·tRAS − IDD2N·(tRC−tRAS))·VDD
-        let t = &self.timing;
-        let e = self.charge_nj(self.power.idd0, t.rc)
-            - self.charge_nj(self.power.idd3n, t.ras)
-            - self.charge_nj(self.power.idd2n, t.rc - t.ras);
-        self.acc.activation_nj += e;
+        self.acc.activation_nj += self.charges.activate;
     }
 
     /// Records one read burst of `bytes` bytes.
     pub fn on_read(&mut self, bytes: u64) {
-        self.acc.read_nj += self.charge_nj(self.power.idd4r - self.power.idd3n, self.timing.burst);
+        self.acc.read_nj += self.charges.read;
         self.acc.io_nj += self.power.io_pj_per_bit * (bytes * 8) as f64 / 1000.0;
     }
 
     /// Records one write burst of `bytes` bytes.
     pub fn on_write(&mut self, bytes: u64) {
-        self.acc.write_nj += self.charge_nj(self.power.idd4w - self.power.idd3n, self.timing.burst);
+        self.acc.write_nj += self.charges.write;
         self.acc.io_nj += self.power.io_pj_per_bit * (bytes * 8) as f64 / 1000.0;
     }
 
     /// Records one all-bank refresh.
     pub fn on_refresh(&mut self) {
-        self.acc.refresh_nj += self.charge_nj(self.power.idd5 - self.power.idd2n, self.timing.rfc);
+        self.acc.refresh_nj += self.charges.refresh;
     }
 
     /// Accrues background energy for `cycles` spent with (`active`) or
@@ -208,10 +256,11 @@ impl EnergyMeter {
     pub fn on_elapsed(&mut self, cycles: Cycles, active: bool) {
         if active {
             self.active_cycles += cycles;
-            self.acc.background_nj += self.charge_nj(self.power.idd3n, cycles);
+            self.acc.background_nj += self.gap_nj(&self.charges.active, self.power.idd3n, cycles);
         } else {
             self.precharged_cycles += cycles;
-            self.acc.background_nj += self.charge_nj(self.power.idd2n, cycles);
+            self.acc.background_nj +=
+                self.gap_nj(&self.charges.precharged, self.power.idd2n, cycles);
         }
     }
 
@@ -226,8 +275,8 @@ impl EnergyMeter {
         let pd = cycles - standby;
         self.precharged_cycles += standby;
         self.powerdown_cycles += pd;
-        self.acc.background_nj += self.charge_nj(self.power.idd2n, standby);
-        self.acc.background_nj += self.charge_nj(self.power.idd2p, pd);
+        self.acc.background_nj += self.gap_nj(&self.charges.precharged, self.power.idd2n, standby);
+        self.acc.background_nj += self.gap_nj(&self.charges.powerdown, self.power.idd2p, pd);
     }
 
     /// Cycles spent in precharge power-down.
@@ -252,6 +301,68 @@ mod tests {
 
     fn meter() -> EnergyMeter {
         EnergyMeter::new(PowerParams::ddr3_1600_x8(), TimingParams::ddr3_1600())
+    }
+
+    /// Every table charge is the formula's value, bit for bit, and gaps
+    /// past the tables take the formula, for both device packs.
+    #[test]
+    fn charge_tables_match_the_formula_bit_for_bit() {
+        let packs = [
+            (PowerParams::ddr3_1600_x8(), TimingParams::ddr3_1600()),
+            (PowerParams::ddr4_2400_x8(), TimingParams::ddr4_2400()),
+        ];
+        for (p, t) in packs {
+            let m = EnergyMeter::new(p.clone(), t.clone());
+            let charge = |current_ma: f64, cycles: Cycles| charge_nj(&p, &t, current_ma, cycles);
+            let tables = [
+                (&m.charges.active, p.idd3n),
+                (&m.charges.precharged, p.idd2n),
+                (&m.charges.powerdown, p.idd2p),
+            ];
+            for (table, current_ma) in tables {
+                for (c, nj) in table.iter().enumerate() {
+                    assert_eq!(
+                        nj.to_bits(),
+                        charge(current_ma, c as Cycles).to_bits(),
+                        "{c}"
+                    );
+                }
+                let past = (GAP_TABLE_CYCLES as Cycles..200).chain([10_000, 1 << 40]);
+                for c in (0..GAP_TABLE_CYCLES as Cycles).chain(past) {
+                    let got = m.gap_nj(table, current_ma, c);
+                    assert_eq!(got.to_bits(), charge(current_ma, c).to_bits(), "{c}");
+                }
+            }
+            let activate =
+                charge(p.idd0, t.rc) - charge(p.idd3n, t.ras) - charge(p.idd2n, t.rc - t.ras);
+            assert_eq!(m.charges.activate.to_bits(), activate.to_bits());
+            let read = charge(p.idd4r - p.idd3n, t.burst);
+            assert_eq!(m.charges.read.to_bits(), read.to_bits());
+            let write = charge(p.idd4w - p.idd3n, t.burst);
+            assert_eq!(m.charges.write.to_bits(), write.to_bits());
+            let refresh = charge(p.idd5 - p.idd2n, t.rfc);
+            assert_eq!(m.charges.refresh.to_bits(), refresh.to_bits());
+
+            // The accrual paths add the same values in the same order.
+            for gap in [1, 29, 30, 63, 64, 93, 94, 95, 5_000] {
+                let mut idle = EnergyMeter::new(p.clone(), t.clone());
+                idle.on_idle_gap(gap);
+                let standby = gap.min(p.powerdown_threshold);
+                let want = 0.0 + charge(p.idd2n, standby) + charge(p.idd2p, gap - standby);
+                assert_eq!(
+                    idle.breakdown().background_nj.to_bits(),
+                    want.to_bits(),
+                    "{gap}"
+                );
+                for (active, current_ma) in [(true, p.idd3n), (false, p.idd2n)] {
+                    let mut busy = EnergyMeter::new(p.clone(), t.clone());
+                    busy.on_elapsed(gap, active);
+                    busy.on_elapsed(gap + 1, active);
+                    let want = 0.0 + charge(current_ma, gap) + charge(current_ma, gap + 1);
+                    assert_eq!(busy.breakdown().background_nj.to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

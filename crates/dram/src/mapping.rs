@@ -5,9 +5,11 @@
 //! composed map stays invertible by running the stages' inverses in
 //! reverse order. The pipeline has two kinds of stage:
 //!
-//! 1. the interleave *split* ([`Interleave`]) — div/mod chains turning
-//!    a line index into raw `(channel, rank, bank, row, col)`
-//!    coordinates;
+//! 1. the interleave *split* ([`Interleave`]) — bit-field extraction
+//!    turning a line index into raw `(channel, rank, bank, row, col)`
+//!    coordinates. Every count is a power of two (the constructors
+//!    assert it), so each coordinate is a contiguous field of the line
+//!    index and the split is shifts and masks, never a division;
 //! 2. three XOR-matrix stages ([`XorStage`]) — one each for the
 //!    channel, rank and bank index. A stage is a GF(2)-linear
 //!    component function: output bit `i` of the index is the input bit
@@ -226,9 +228,40 @@ impl MapHash {
     }
 }
 
-/// Number of index bits for a power-of-two coordinate count.
-fn index_bits(count: u64) -> u32 {
-    count.trailing_zeros()
+/// One coordinate's bit-field within the line index: `bits` wide,
+/// starting at bit `shift`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Field {
+    shift: u32,
+    bits: u32,
+}
+
+impl Field {
+    /// The coordinate stored in `line`.
+    fn get(self, line: u64) -> u64 {
+        (line >> self.shift) & ((1 << self.bits) - 1)
+    }
+
+    /// `value` placed in this field of an otherwise zero line index.
+    fn put(self, value: u64) -> u64 {
+        value << self.shift
+    }
+}
+
+/// Stacks four power-of-two coordinate counts into adjacent fields,
+/// lowest first; returns the fields and the row field's shift (the row
+/// takes every bit above them).
+fn stack(counts: [u64; 4]) -> ([Field; 4], u32) {
+    let mut shift = 0;
+    let fields = counts.map(|count| {
+        let f = Field {
+            shift,
+            bits: count.trailing_zeros(),
+        };
+        shift += f.bits;
+        f
+    });
+    (fields, shift)
 }
 
 /// Maps byte addresses to (channel, rank, bank, row, column)
@@ -245,12 +278,14 @@ fn index_bits(count: u64) -> u32 {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMap {
-    line_bytes: u64,
-    cols_per_row: u64,
-    banks: u64,
-    ranks: u64,
-    channels: u64,
-    interleave: Interleave,
+    /// log2 of the line size in bytes.
+    line_shift: u32,
+    col: Field,
+    channel: Field,
+    bank: Field,
+    rank: Field,
+    /// The row is every line-index bit from here up.
+    row_shift: u32,
     channel_stage: XorStage,
     rank_stage: XorStage,
     bank_stage: XorStage,
@@ -262,8 +297,7 @@ impl AddressMap {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero or `line_bytes` is not a power of
-    /// two.
+    /// Panics if any parameter is not a power of two.
     pub fn new(line_bytes: u64, cols_per_row: u64, banks: u64, interleave: Interleave) -> Self {
         Self::with_shape(line_bytes, cols_per_row, banks, 1, 1, interleave)
     }
@@ -273,8 +307,7 @@ impl AddressMap {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero or `line_bytes` is not a power
-    /// of two.
+    /// Panics if any parameter is not a power of two.
     pub fn with_ranks(
         line_bytes: u64,
         cols_per_row: u64,
@@ -293,8 +326,8 @@ impl AddressMap {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero or `line_bytes` is not a power
-    /// of two.
+    /// Panics if any parameter is not a power of two: every coordinate
+    /// is a bit-field of the line index.
     pub fn with_shape(
         line_bytes: u64,
         cols_per_row: u64,
@@ -303,15 +336,37 @@ impl AddressMap {
         channels: u64,
         interleave: Interleave,
     ) -> Self {
-        assert!(line_bytes.is_power_of_two() && line_bytes > 0);
-        assert!(cols_per_row > 0 && banks > 0 && ranks > 0 && channels > 0);
+        for (what, count) in [
+            ("line size", line_bytes),
+            ("column count", cols_per_row),
+            ("bank count", banks),
+            ("rank count", ranks),
+            ("channel count", channels),
+        ] {
+            assert!(
+                count.is_power_of_two(),
+                "address map needs a power-of-two {what}, got {count}"
+            );
+        }
+        let (col, channel, bank, rank, row_shift) = match interleave {
+            Interleave::ColumnFirst => {
+                let ([col, channel, bank, rank], row) =
+                    stack([cols_per_row, channels, banks, ranks]);
+                (col, channel, bank, rank, row)
+            }
+            Interleave::BankFirst => {
+                let ([bank, rank, channel, col], row) =
+                    stack([banks, ranks, channels, cols_per_row]);
+                (col, channel, bank, rank, row)
+            }
+        };
         AddressMap {
-            line_bytes,
-            cols_per_row,
-            banks,
-            ranks,
-            channels,
-            interleave,
+            line_shift: line_bytes.trailing_zeros(),
+            col,
+            channel,
+            bank,
+            rank,
+            row_shift,
             channel_stage: XorStage::identity(0),
             rank_stage: XorStage::identity(0),
             bank_stage: XorStage::identity(0),
@@ -322,13 +377,9 @@ impl AddressMap {
     /// bank stage reads row bits `[0, log2(banks))`, the rank stage
     /// the next `log2(ranks)` bits, the channel stage the
     /// `log2(channels)` above those — disjoint key fields, so
-    /// [`MapHash::XorAll`] decorrelates all three coordinates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a requested stage's coordinate count is not a power
-    /// of two (the XOR mask must cover exactly the index space to stay
-    /// bijective).
+    /// [`MapHash::XorAll`] decorrelates all three coordinates. Every
+    /// count is a power of two, so each mask covers exactly its index
+    /// space and the map stays bijective.
     pub fn with_hash(mut self, hash: MapHash) -> Self {
         let (want_bank, want_rank, want_channel) = match hash {
             MapHash::Direct => (false, false, false),
@@ -337,24 +388,8 @@ impl AddressMap {
             MapHash::XorChannel => (false, false, true),
             MapHash::XorAll => (true, true, true),
         };
-        assert!(
-            !want_bank || self.banks.is_power_of_two(),
-            "XOR bank stage needs a power-of-two bank count, got {}",
-            self.banks
-        );
-        assert!(
-            !want_rank || self.ranks.is_power_of_two(),
-            "XOR rank stage needs a power-of-two rank count, got {}",
-            self.ranks
-        );
-        assert!(
-            !want_channel || self.channels.is_power_of_two(),
-            "XOR channel stage needs a power-of-two channel count, got {}",
-            self.channels
-        );
-        let bank_bits = index_bits(self.banks);
-        let rank_bits = index_bits(self.ranks);
-        let channel_bits = index_bits(self.channels);
+        let (bank_bits, rank_bits, channel_bits) =
+            (self.bank.bits, self.rank.bits, self.channel.bits);
         // Identity stages stay `identity(0)` so a `Direct` hash leaves
         // the map equal to one that never saw `with_hash` at all.
         if want_bank {
@@ -372,27 +407,7 @@ impl AddressMap {
     /// The same map with explicit per-coordinate stages — the DReAM
     /// hook: any mask matrices keep the map bijective, so runtime
     /// remapping only needs to swap stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-identity stage's coordinate count is not a
-    /// power of two.
     pub fn with_stages(mut self, channel: XorStage, rank: XorStage, bank: XorStage) -> Self {
-        assert!(
-            bank.is_identity() || self.banks.is_power_of_two(),
-            "XOR bank stage needs a power-of-two bank count, got {}",
-            self.banks
-        );
-        assert!(
-            rank.is_identity() || self.ranks.is_power_of_two(),
-            "XOR rank stage needs a power-of-two rank count, got {}",
-            self.ranks
-        );
-        assert!(
-            channel.is_identity() || self.channels.is_power_of_two(),
-            "XOR channel stage needs a power-of-two channel count, got {}",
-            self.channels
-        );
         self.channel_stage = channel;
         self.rank_stage = rank;
         self.bank_stage = bank;
@@ -407,63 +422,39 @@ impl AddressMap {
 
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.line_shift
     }
 
     /// Channel count.
     pub fn channels(&self) -> u64 {
-        self.channels
+        1 << self.channel.bits
     }
 
     /// The cache-line index of a byte address.
     pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes
+        addr >> self.line_shift
     }
 
     /// The raw interleave split, before any XOR stage: line index to
     /// `(channel, rank, bank, row, col)`.
     fn split(&self, line: u64) -> (u64, u64, u64, u64, u64) {
-        match self.interleave {
-            Interleave::ColumnFirst => {
-                let col = line % self.cols_per_row;
-                let rest = line / self.cols_per_row;
-                let channel = rest % self.channels;
-                let rest = rest / self.channels;
-                let bank = rest % self.banks;
-                let rest = rest / self.banks;
-                let rank = rest % self.ranks;
-                let row = rest / self.ranks;
-                (channel, rank, bank, row, col)
-            }
-            Interleave::BankFirst => {
-                let bank = line % self.banks;
-                let rest = line / self.banks;
-                let rank = rest % self.ranks;
-                let rest = rest / self.ranks;
-                let channel = rest % self.channels;
-                let rest = rest / self.channels;
-                let col = rest % self.cols_per_row;
-                let row = rest / self.cols_per_row;
-                (channel, rank, bank, row, col)
-            }
-        }
+        (
+            self.channel.get(line),
+            self.rank.get(line),
+            self.bank.get(line),
+            line >> self.row_shift,
+            self.col.get(line),
+        )
     }
 
     /// Inverse of [`split`](Self::split): coordinates back to the line
     /// index.
     fn combine(&self, channel: u64, rank: u64, bank: u64, row: u64, col: u64) -> u64 {
-        match self.interleave {
-            Interleave::ColumnFirst => {
-                (((row * self.ranks + rank) * self.banks + bank) * self.channels + channel)
-                    * self.cols_per_row
-                    + col
-            }
-            Interleave::BankFirst => {
-                (((row * self.cols_per_row + col) * self.channels + channel) * self.ranks + rank)
-                    * self.banks
-                    + bank
-            }
-        }
+        (row << self.row_shift)
+            | self.rank.put(rank)
+            | self.bank.put(bank)
+            | self.channel.put(channel)
+            | self.col.put(col)
     }
 
     /// DRAM coordinates of the cache line containing `addr`: the
@@ -493,7 +484,7 @@ impl AddressMap {
         let rank = self.rank_stage.apply(cast::widen(loc.rank), row);
         let bank = self.bank_stage.apply(cast::widen(loc.bank), row);
         let line = self.combine(channel, rank, bank, row, u64::from(loc.col.0));
-        line * self.line_bytes
+        line << self.line_shift
     }
 }
 
@@ -636,15 +627,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "power-of-two bank count")]
-    fn xor_hash_rejects_odd_bank_counts() {
-        let _ = AddressMap::new(64, 128, 6, Interleave::ColumnFirst).with_hash(MapHash::XorBank);
+    fn constructor_rejects_odd_bank_counts() {
+        let _ = AddressMap::new(64, 128, 6, Interleave::ColumnFirst);
     }
 
     #[test]
     #[should_panic(expected = "power-of-two channel count")]
-    fn xor_channel_rejects_odd_channel_counts() {
-        let _ = AddressMap::with_shape(64, 128, 8, 1, 3, Interleave::ColumnFirst)
-            .with_hash(MapHash::XorChannel);
+    fn constructor_rejects_odd_channel_counts() {
+        let _ = AddressMap::with_shape(64, 128, 8, 1, 3, Interleave::ColumnFirst);
     }
 
     #[test]

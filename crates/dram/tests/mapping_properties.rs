@@ -15,28 +15,155 @@ use std::collections::BTreeSet;
 use gsdram_core::port::EventHub;
 use gsdram_core::rng::SplitMix;
 use gsdram_core::PatternId;
+use gsdram_core::{ColumnId, RowId};
 use gsdram_dram::controller::{AccessKind, ControllerConfig, MemController, MemRequest};
-use gsdram_dram::mapping::{AddressMap, Interleave, MapHash, XorStage};
+use gsdram_dram::mapping::{AddressMap, DramLocation, Interleave, MapHash, XorStage};
 
-/// The geometry sweep ISSUE 10 pins: channels × ranks ∈ {1,2,4} each,
-/// both interleaves, every XOR-stage preset, over a deliberately small
+/// One swept geometry: the arguments of [`AddressMap::with_shape`] and
+/// the preset applied with [`AddressMap::with_hash`].
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    line_bytes: u64,
+    cols: u64,
+    banks: u64,
+    ranks: u64,
+    channels: u64,
+    interleave: Interleave,
+    hash: MapHash,
+}
+
+impl Shape {
+    fn map(&self) -> AddressMap {
+        AddressMap::with_shape(
+            self.line_bytes,
+            self.cols,
+            self.banks,
+            self.ranks,
+            self.channels,
+            self.interleave,
+        )
+        .with_hash(self.hash)
+    }
+}
+
+/// The geometry sweep: channels × ranks ∈ {1,2,4} each, both
+/// interleaves, every XOR-stage preset, over a deliberately small
 /// geometry (16 lines per row, 8 banks, so exhaustive sweeps stay
 /// instant).
-fn all_maps() -> Vec<AddressMap> {
+fn all_shapes() -> Vec<Shape> {
     let mut v = Vec::new();
     for interleave in [Interleave::ColumnFirst, Interleave::BankFirst] {
         for channels in [1u64, 2, 4] {
             for ranks in [1u64, 2, 4] {
                 for (hash, _, _) in MapHash::VARIANTS {
-                    v.push(
-                        AddressMap::with_shape(64, 16, 8, ranks, channels, interleave)
-                            .with_hash(hash),
-                    );
+                    v.push(Shape {
+                        line_bytes: 64,
+                        cols: 16,
+                        banks: 8,
+                        ranks,
+                        channels,
+                        interleave,
+                        hash,
+                    });
                 }
             }
         }
     }
     v
+}
+
+fn all_maps() -> Vec<AddressMap> {
+    all_shapes().iter().map(Shape::map).collect()
+}
+
+/// The address map as a chain of divisions and remainders — the form
+/// it takes for any coordinate counts — followed by the preset XOR
+/// stages, each keyed on the raw row: an independent reference for
+/// the shift-and-mask path.
+fn reference_decompose(s: &Shape, addr: u64) -> DramLocation {
+    let line = addr / s.line_bytes;
+    let (channel, rank, bank, row, col) = match s.interleave {
+        Interleave::ColumnFirst => {
+            let rest = line / s.cols;
+            let rest2 = rest / s.channels;
+            let rest3 = rest2 / s.banks;
+            (
+                rest % s.channels,
+                rest3 % s.ranks,
+                rest2 % s.banks,
+                rest3 / s.ranks,
+                line % s.cols,
+            )
+        }
+        Interleave::BankFirst => {
+            let rest = line / s.banks;
+            let rest2 = rest / s.ranks;
+            let rest3 = rest2 / s.channels;
+            (
+                rest2 % s.channels,
+                rest % s.ranks,
+                line % s.banks,
+                rest3 / s.cols,
+                rest3 % s.cols,
+            )
+        }
+    };
+    let log2 = |n: u64| n.trailing_zeros();
+    let (bank_bits, rank_bits, channel_bits) = (log2(s.banks), log2(s.ranks), log2(s.channels));
+    let (hash_bank, hash_rank, hash_channel) = match s.hash {
+        MapHash::Direct => (false, false, false),
+        MapHash::XorBank => (true, false, false),
+        MapHash::XorRank => (false, true, false),
+        MapHash::XorChannel => (false, false, true),
+        MapHash::XorAll => (true, true, true),
+    };
+    let stage = |on: bool, bits: u32, shift: u32, index: u64| {
+        if on {
+            XorStage::shifted(bits, shift).apply(index, row)
+        } else {
+            index
+        }
+    };
+    DramLocation {
+        channel: stage(hash_channel, channel_bits, bank_bits + rank_bits, channel) as usize,
+        rank: stage(hash_rank, rank_bits, bank_bits, rank) as usize,
+        bank: stage(hash_bank, bank_bits, 0, bank) as usize,
+        row: RowId(row as u32),
+        col: ColumnId(col as u32),
+    }
+}
+
+/// The shift-and-mask map equals the division reference on every
+/// swept shape (plus Table 1-sized rows and 128-byte lines), both ways:
+/// `decompose` gives the reference coordinates and `compose` inverts
+/// them.
+#[test]
+fn shift_path_matches_the_division_reference() {
+    let mut shapes = all_shapes();
+    for s in all_shapes().iter().filter(|s| s.ranks < 4) {
+        shapes.push(Shape { cols: 128, ..*s });
+        shapes.push(Shape {
+            line_bytes: 128,
+            cols: 64,
+            banks: 16,
+            ..*s
+        });
+    }
+    let mut rng = SplitMix(0xD1_71DE);
+    for s in &shapes {
+        let map = s.map();
+        let exhaustive = (0..8192u64).map(|line| line * s.line_bytes + line % s.line_bytes);
+        let sparse = (0..2048).map(|_| rng.next_u64() % (1 << 37));
+        for addr in exhaustive.chain(sparse) {
+            let want = reference_decompose(s, addr);
+            assert_eq!(map.decompose(addr), want, "{s:?} at {addr:#x}");
+            assert_eq!(
+                map.compose(want),
+                addr / s.line_bytes * s.line_bytes,
+                "{s:?}"
+            );
+        }
+    }
 }
 
 fn describe(map: &AddressMap) -> String {

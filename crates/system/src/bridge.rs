@@ -148,6 +148,11 @@ pub struct DramBridge {
     /// Logical fetches in flight, at most one per line key. Short (the
     /// controllers' queues bound it), so lookups scan it.
     outstanding: Vec<Outstanding>,
+    /// Emptied waiter lists of delivered fetches, reused by the next
+    /// fetches so a miss does not allocate one.
+    spare_waiters: Vec<Vec<Waiter>>,
+    /// log2 of the DRAM row size in bytes.
+    row_shift: u32,
     next_req: ReqId,
     /// Word-address scratch for functional line reads/writes.
     addr_buf: Vec<u64>,
@@ -160,6 +165,12 @@ impl DramBridge {
         let rows = cfg.memory_bytes / cast::to_usize(cfg.row_bytes());
         // gsdram-lint: allow(D4) rows.max(1) keeps the geometry constructor total
         let geom = Geometry::ddr3_row(&cfg.gsdram, rows.max(1)).expect("valid geometry");
+        let overlap = OverlapCalc::new(cfg.gsdram.clone(), cast::widen(cfg.l2.line_bytes), 128);
+        let row_bytes = overlap.row_bytes();
+        assert!(
+            row_bytes.is_power_of_two(),
+            "row size must be a power of two, got {row_bytes}"
+        );
         DramBridge {
             module: GsModule::new(cfg.gsdram.clone(), geom),
             map: AddressMap::with_shape(
@@ -179,11 +190,13 @@ impl DramBridge {
                 })
                 .collect(),
             loads: vec![ChannelLoadStats::default(); cfg.channels.max(1)],
-            overlap: OverlapCalc::new(cfg.gsdram.clone(), cast::widen(cfg.l2.line_bytes), 128),
+            overlap,
             gather: cfg.gather,
             chips: cfg.gsdram.chips(),
             cpu_per_mem: cfg.cpu_per_mem,
             outstanding: Vec::new(),
+            spare_waiters: Vec::new(),
+            row_shift: row_bytes.trailing_zeros(),
             next_req: 0,
             addr_buf: Vec::new(),
             sub_buf: Vec::new(),
@@ -203,9 +216,8 @@ impl DramBridge {
     }
 
     fn row_col(&self, addr: u64) -> (RowId, ColumnId, usize) {
-        let rb = self.overlap.row_bytes();
-        let row = cast::to_u32(addr / rb);
-        let off = addr % rb;
+        let row = cast::to_u32(addr >> self.row_shift);
+        let off = addr & ((1 << self.row_shift) - 1);
         (
             RowId(row),
             ColumnId(cast::to_u32(off / 64)),
@@ -356,15 +368,19 @@ impl DramBridge {
     }
 
     /// Enqueues the DRAM fetch(es) backing a line fetch and registers
-    /// the logical outstanding entry.
+    /// the logical outstanding entry, waited on by `waiter` (a demand
+    /// miss) or by nobody yet (a prefetch). The waiter list is a spare
+    /// one when a delivered fetch left one behind.
     pub(crate) fn enqueue_fetch(
         &mut self,
         key: LineKey,
         shuffled: bool,
-        waiters: Vec<Waiter>,
+        waiter: Option<Waiter>,
         at_cpu: u64,
         events: &mut EventHub,
     ) {
+        let mut waiters = self.spare_waiters.pop().unwrap_or_default();
+        waiters.extend(waiter);
         // The sub-requests take the ids right after the fetch's own, so
         // a completion finds its fetch by range.
         let id = self.alloc_req_id();
@@ -442,6 +458,23 @@ impl DramBridge {
     /// Whether a fetch of `key` is already in flight.
     pub(crate) fn in_flight(&self, key: LineKey) -> bool {
         self.outstanding.iter().any(|o| o.key == key)
+    }
+
+    /// Keeps an emptied waiter list of a delivered fetch for reuse.
+    pub(crate) fn recycle_waiters(&mut self, mut waiters: Vec<Waiter>) {
+        waiters.clear();
+        self.spare_waiters.push(waiters);
+    }
+
+    /// Detaches every waiter from the fetches still in flight. A run
+    /// that ended at a `StopWhen::CoreDone` cut-off can leave a core
+    /// waiting; the next run starts that core afresh, so the old
+    /// request must not be finished into it. The fetches themselves
+    /// still complete and fill the L2.
+    pub(crate) fn forget_waiters(&mut self) {
+        for o in &mut self.outstanding {
+            o.waiters.clear();
+        }
     }
 
     /// Attaches `waiter` to an in-flight fetch of `key`. Returns
@@ -616,7 +649,7 @@ impl Machine {
         }
 
         let wake = done_cpu + self.cfg.l1.latency + shuffle_penalty;
-        for w in done.waiters {
+        for &w in &done.waiters {
             let value = self.serve_from_line_buf(w.core, done.key, &w.req, done_cpu);
             if w.req.store_value().is_none() {
                 programs[w.core].on_load_value(value);
@@ -625,6 +658,7 @@ impl Machine {
             core.waiting = false;
             core.time = core.time.max(wake);
         }
+        self.bridge.recycle_waiters(done.waiters);
     }
 
     /// Advances the memory system to CPU time `t`, delivering any

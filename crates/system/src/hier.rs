@@ -181,13 +181,15 @@ impl Machine {
                 continue;
             }
             let key = LineKey::new(t, 64, pattern);
-            if self.hier.l2.contains(key) || self.bridge.in_flight(key) {
+            // Most targets of a stream are already in flight; the
+            // outstanding list is short, so it is asked first.
+            if self.bridge.in_flight(key) || self.hier.l2.contains(key) {
                 continue;
             }
             self.flush_overlaps_before_fetch(key, at_cpu);
             let shuffled = self.pages.info(key.addr).shuffle;
             self.bridge
-                .enqueue_fetch(key, shuffled, Vec::new(), at_cpu, &mut self.events);
+                .enqueue_fetch(key, shuffled, None, at_cpu, &mut self.events);
         }
         self.pf_buf = targets;
     }
@@ -283,7 +285,7 @@ impl Machine {
         }
         self.flush_overlaps_before_fetch(key, miss_time);
         self.bridge
-            .enqueue_fetch(key, info.shuffle, vec![waiter], miss_time, &mut self.events);
+            .enqueue_fetch(key, info.shuffle, Some(waiter), miss_time, &mut self.events);
         None
     }
 }

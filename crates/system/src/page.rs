@@ -55,6 +55,12 @@ impl fmt::Display for PatternNotAllowed {
 
 impl std::error::Error for PatternNotAllowed {}
 
+/// log2 of the page size.
+const PAGE_SHIFT: u32 = 12;
+
+/// Page size in bytes (4 KB).
+const PAGE_BYTES: u64 = 1 << PAGE_SHIFT;
+
 /// A bump allocator over the simulated physical memory that implements
 /// `pattmalloc`: every allocation is row-aligned and its pages carry the
 /// requested shuffle flag and alternate pattern.
@@ -70,7 +76,6 @@ impl std::error::Error for PatternNotAllowed {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageTable {
-    page_bytes: u64,
     row_bytes: u64,
     capacity: u64,
     next_free: u64,
@@ -82,10 +87,8 @@ impl PageTable {
     /// align to `row_bytes` (so column 0 of a row is element 0 of the
     /// allocation).
     pub fn new(capacity: u64, row_bytes: u64) -> Self {
-        let page_bytes = 4096;
-        let pages = (capacity / page_bytes) as usize;
+        let pages = (capacity >> PAGE_SHIFT) as usize;
         PageTable {
-            page_bytes,
             row_bytes,
             capacity,
             next_free: 0,
@@ -121,8 +124,8 @@ impl PageTable {
             shuffle,
             alt_pattern: pattern,
         };
-        let first = (base / self.page_bytes) as usize;
-        let last = (end.div_ceil(self.page_bytes) as usize).min(self.pages.len());
+        let first = (base >> PAGE_SHIFT) as usize;
+        let last = (end.div_ceil(PAGE_BYTES) as usize).min(self.pages.len());
         for p in &mut self.pages[first..last] {
             *p = info;
         }
@@ -131,7 +134,7 @@ impl PageTable {
 
     /// Page metadata for `addr`.
     pub fn info(&self, addr: u64) -> PageInfo {
-        let idx = (addr / self.page_bytes) as usize;
+        let idx = (addr >> PAGE_SHIFT) as usize;
         self.pages.get(idx).copied().unwrap_or_else(PageInfo::plain)
     }
 
@@ -202,6 +205,29 @@ mod tests {
         let mut pt = PageTable::new(16384, 8192);
         pt.malloc(16384);
         pt.malloc(1);
+    }
+
+    #[test]
+    fn info_reads_the_page_of_every_byte() {
+        // Three allocations of different metadata and odd sizes, packed
+        // against page boundaries by a one-page row alignment.
+        let mut pt = PageTable::new(64 * PAGE_BYTES, PAGE_BYTES);
+        let a = pt.pattmalloc(3 * PAGE_BYTES - 8, true, PatternId(7));
+        let b = pt.pattmalloc(PAGE_BYTES + 1, false, PatternId(3));
+        let c = pt.malloc(5 * PAGE_BYTES);
+        assert_eq!((a, b, c), (0, 3 * PAGE_BYTES, 5 * PAGE_BYTES));
+        let want = |addr: u64| match addr / 4096 {
+            0..=2 => (true, PatternId(7)),
+            3 | 4 => (false, PatternId(3)),
+            _ => (false, PatternId::DEFAULT),
+        };
+        for addr in (0..12 * PAGE_BYTES)
+            .step_by(8)
+            .chain([64 * PAGE_BYTES, u64::MAX])
+        {
+            let info = pt.info(addr);
+            assert_eq!((info.shuffle, info.alt_pattern), want(addr), "{addr:#x}");
+        }
     }
 
     #[test]
