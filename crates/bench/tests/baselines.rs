@@ -5,9 +5,13 @@
 //! test re-runs each experiment in process and compares byte-for-byte,
 //! so a figure number cannot move without a reviewed baseline diff
 //! (CI also diffs the `gsdram-sim sweep fig10` output against its file,
-//! covering the CLI's argument parsing and file writing).
+//! covering the CLI's argument parsing and file writing). The paper's
+//! claims ([`CLAIMS`]) are read off the same trees: a pin says a number
+//! did not move, a claim says the reproduction still holds, so a model
+//! fix that regenerates pins must keep every claim.
 
 use std::path::Path;
+use std::sync::OnceLock;
 
 use gsdram_bench::args::Args;
 use gsdram_bench::experiments::{check_flags, find, names, run_experiment};
@@ -103,6 +107,59 @@ const PINS: &[(&str, &[&str], &str)] = &[
     ),
 ];
 
+/// One claim of the paper, checked on a pinned run's stats tree: the
+/// gauge at `path` must lie in `min..=max`.
+struct Claim {
+    /// The experiment, as registered.
+    experiment: &'static str,
+    /// Its arguments: the pin row's, so the claim reads the pinned tree.
+    args: &'static [&'static str],
+    /// Slash-separated gauge path in the experiment's tree.
+    path: &'static str,
+    min: f64,
+    max: f64,
+    /// Where the bound comes from.
+    source: &'static str,
+}
+
+/// The paper's claims, each on the tree of one [`PINS`] row. Bounds
+/// come from the paper's text and EXPERIMENTS.md's paper-vs-measured
+/// tables.
+const CLAIMS: &[Claim] = &[
+    Claim {
+        experiment: "fig12",
+        args: &["--txns", "200", "--tuples", "2048"],
+        path: "summary/ratios/anal_energy_row_over_gs_pref",
+        min: 2.0,
+        max: f64::INFINITY,
+        source: "Figure 12: with prefetching, Row Store analytics spends 2.4x GS-DRAM's energy",
+    },
+    Claim {
+        experiment: "fig12",
+        args: &["--txns", "200", "--tuples", "2048"],
+        path: "summary/ratios/txn_energy_gs_over_row",
+        min: 0.95,
+        max: 1.05,
+        source: "Figure 12: GS-DRAM's transaction energy matches the Row Store's",
+    },
+];
+
+/// Every pin's stats tree, run once per test binary and shared by the
+/// pin and claim tests, in [`PINS`] order.
+fn pinned_trees() -> &'static [StatsNode] {
+    static TREES: OnceLock<Vec<StatsNode>> = OnceLock::new();
+    TREES.get_or_init(|| {
+        PINS.iter()
+            .map(|&(name, argv, _)| {
+                let def = find(name).unwrap_or_else(|| panic!("{name}: not registered"));
+                let args = Args::new(argv.iter().copied());
+                check_flags(def, &args).unwrap_or_else(|e| panic!("{name}: {e}"));
+                run_experiment(def, &args)
+            })
+            .collect()
+    })
+}
+
 #[test]
 fn registry_json_matches_committed_baselines() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/baselines");
@@ -113,24 +170,41 @@ fn registry_json_matches_committed_baselines() {
             "{name} has no pin"
         );
     }
-    for &(name, argv, file) in PINS {
-        let def = find(name).unwrap_or_else(|| panic!("{name}: not registered"));
-        let args = Args::new(argv.iter().copied());
-        check_flags(def, &args).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let node = run_experiment(def, &args);
+    for (&(name, _, file), node) in PINS.iter().zip(pinned_trees()) {
         let want = std::fs::read_to_string(dir.join(file))
             .unwrap_or_else(|e| panic!("read baseline {file}: {e}"));
         if node.to_json_pretty() != want {
             drifted.push(file);
         }
         if name == "scale_channels" {
-            assert_scale_channels_shape(&node);
+            assert_scale_channels_shape(node);
         }
     }
     assert!(
         drifted.is_empty(),
         "JSON drifted from crates/bench/tests/baselines/: {drifted:?}"
     );
+}
+
+#[test]
+fn paper_claims_hold_on_the_pinned_trees() {
+    let mut broken = Vec::new();
+    for c in CLAIMS {
+        let pin = PINS
+            .iter()
+            .position(|&(name, argv, _)| name == c.experiment && argv == c.args)
+            .unwrap_or_else(|| panic!("{} {:?}: no pin runs these args", c.experiment, c.args));
+        let got = pinned_trees()[pin]
+            .gauge_at(c.path)
+            .unwrap_or_else(|| panic!("{}: no gauge at {}", c.experiment, c.path));
+        if !(c.min..=c.max).contains(&got) {
+            broken.push(format!(
+                "{} {} = {got} outside [{}, {}] ({})",
+                c.experiment, c.path, c.min, c.max, c.source
+            ));
+        }
+    }
+    assert!(broken.is_empty(), "claims broken:\n{}", broken.join("\n"));
 }
 
 /// The multi-channel figure must actually separate the channel counts
