@@ -448,6 +448,11 @@ impl MemController {
         self.energy.breakdown()
     }
 
+    /// Cycles the rank spent in precharge power-down so far.
+    pub fn powerdown_cycles(&self) -> Cycles {
+        self.energy.powerdown_cycles()
+    }
+
     /// Outstanding request count (both queues).
     pub fn pending(&self) -> usize {
         self.readq.len() + self.writeq.len()

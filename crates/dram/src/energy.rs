@@ -143,21 +143,9 @@ impl EnergyBreakdown {
     }
 }
 
-/// Background gaps shorter than this many cycles take their charge
-/// from a table; longer ones evaluate [`charge_nj`].
-const GAP_TABLE_CYCLES: usize = 64;
-
-/// A meter's charges, each evaluated once at construction by the same
-/// expression the formula path uses, so every looked-up value is
-/// bit-identical to computing it on the spot.
+/// A meter's per-command charges, each evaluated once at construction.
 #[derive(Debug, Clone)]
 struct Charges {
-    /// Active standby (IDD3N) for `0..GAP_TABLE_CYCLES` cycles.
-    active: [f64; GAP_TABLE_CYCLES],
-    /// Precharged standby (IDD2N) for `0..GAP_TABLE_CYCLES` cycles.
-    precharged: [f64; GAP_TABLE_CYCLES],
-    /// Precharge power-down (IDD2P) for `0..GAP_TABLE_CYCLES` cycles.
-    powerdown: [f64; GAP_TABLE_CYCLES],
     /// One ACTIVATE-PRECHARGE pair.
     activate: f64,
     /// One read burst, I/O excluded.
@@ -177,30 +165,34 @@ fn charge_nj(power: &PowerParams, timing: &TimingParams, current_ma: f64, cycles
 
 /// Energy meter fed by the memory controller as it issues commands and
 /// advances time.
+///
+/// Background energy is kept as integer cycle counts per power state
+/// and charged only when [`breakdown`](Self::breakdown) is read, and an
+/// idle run carries across accrual calls (DRAMPower charges power-down
+/// per idle interval). So the reported energy does not depend on where
+/// or how often the controller accrues.
 #[derive(Debug, Clone)]
 pub struct EnergyMeter {
     power: PowerParams,
     timing: TimingParams,
     charges: Charges,
+    /// Command energy; `background_nj` is filled in by `breakdown`.
     acc: EnergyBreakdown,
     /// Cycles spent with at least one bank active / all precharged.
     active_cycles: Cycles,
     precharged_cycles: Cycles,
     /// Cycles spent in precharge power-down.
     powerdown_cycles: Cycles,
+    /// Length of the current idle run: the rank powers down once it
+    /// reaches [`PowerParams::powerdown_threshold`].
+    idle_run: Cycles,
 }
 
 impl EnergyMeter {
     /// A meter for the given device parameters.
     pub fn new(power: PowerParams, timing: TimingParams) -> Self {
-        let table = |current_ma: f64| {
-            std::array::from_fn(|c| charge_nj(&power, &timing, current_ma, c as Cycles))
-        };
         let (p, t) = (&power, &timing);
         let charges = Charges {
-            active: table(p.idd3n),
-            precharged: table(p.idd2n),
-            powerdown: table(p.idd2p),
             // Micron TN-41-01: E = (IDD0·tRC − IDD3N·tRAS − IDD2N·(tRC−tRAS))·VDD
             activate: charge_nj(p, t, p.idd0, t.rc)
                 - charge_nj(p, t, p.idd3n, t.ras)
@@ -217,15 +209,7 @@ impl EnergyMeter {
             active_cycles: 0,
             precharged_cycles: 0,
             powerdown_cycles: 0,
-        }
-    }
-
-    /// The charge of `cycles` at `current_ma`: the table entry below
-    /// [`GAP_TABLE_CYCLES`], [`charge_nj`] from there up.
-    fn gap_nj(&self, table: &[f64; GAP_TABLE_CYCLES], current_ma: f64, cycles: Cycles) -> f64 {
-        match usize::try_from(cycles).ok().and_then(|c| table.get(c)) {
-            Some(&nj) => nj,
-            None => charge_nj(&self.power, &self.timing, current_ma, cycles),
+            idle_run: 0,
         }
     }
 
@@ -246,37 +230,37 @@ impl EnergyMeter {
         self.acc.io_nj += self.power.io_pj_per_bit * (bytes * 8) as f64 / 1000.0;
     }
 
-    /// Records one all-bank refresh.
+    /// Records one all-bank refresh. The rank leaves power-down to
+    /// refresh, so the refresh ends any idle run.
     pub fn on_refresh(&mut self) {
         self.acc.refresh_nj += self.charges.refresh;
+        self.idle_run = 0;
     }
 
-    /// Accrues background energy for `cycles` spent with (`active`) or
-    /// without a bank open.
+    /// Accrues `cycles` of standby spent with (`active`) or without a
+    /// bank open while requests are queued; ends any idle run.
     pub fn on_elapsed(&mut self, cycles: Cycles, active: bool) {
         if active {
             self.active_cycles += cycles;
-            self.acc.background_nj += self.gap_nj(&self.charges.active, self.power.idd3n, cycles);
         } else {
             self.precharged_cycles += cycles;
-            self.acc.background_nj +=
-                self.gap_nj(&self.charges.precharged, self.power.idd2n, cycles);
         }
+        self.idle_run = 0;
     }
 
-    /// Accrues background energy for an *idle* gap (no requests queued,
-    /// all banks precharged): after
-    /// [`PowerParams::powerdown_threshold`] cycles of standby the rank
-    /// drops into precharge power-down (IDD2P). This is an energy-only
-    /// model: the wake-up latency (tXP, a few cycles) is folded into the
-    /// threshold rather than charged to the next request.
+    /// Accrues an *idle* gap (no requests queued, all banks
+    /// precharged), continuing the current idle run: its first
+    /// [`PowerParams::powerdown_threshold`] cycles are precharged
+    /// standby, the rest precharge power-down (IDD2P). This is an
+    /// energy-only model: the wake-up latency (tXP, a few cycles) is
+    /// folded into the threshold rather than charged to the next
+    /// request.
     pub fn on_idle_gap(&mut self, cycles: Cycles) {
-        let standby = cycles.min(self.power.powerdown_threshold);
-        let pd = cycles - standby;
+        let left = self.power.powerdown_threshold.saturating_sub(self.idle_run);
+        let standby = cycles.min(left);
         self.precharged_cycles += standby;
-        self.powerdown_cycles += pd;
-        self.acc.background_nj += self.gap_nj(&self.charges.precharged, self.power.idd2n, standby);
-        self.acc.background_nj += self.gap_nj(&self.charges.powerdown, self.power.idd2p, pd);
+        self.powerdown_cycles += cycles - standby;
+        self.idle_run = self.idle_run.saturating_add(cycles);
     }
 
     /// Cycles spent in precharge power-down.
@@ -284,9 +268,16 @@ impl EnergyMeter {
         self.powerdown_cycles
     }
 
-    /// The energy accumulated so far.
+    /// The energy accumulated so far: command charges as recorded,
+    /// background charged over the standby and power-down counts.
     pub fn breakdown(&self) -> EnergyBreakdown {
-        self.acc
+        let (p, t) = (&self.power, &self.timing);
+        EnergyBreakdown {
+            background_nj: charge_nj(p, t, p.idd3n, self.active_cycles)
+                + charge_nj(p, t, p.idd2n, self.precharged_cycles)
+                + charge_nj(p, t, p.idd2p, self.powerdown_cycles),
+            ..self.acc
+        }
     }
 
     /// Cycles spent in (active, precharged) standby.
@@ -303,35 +294,33 @@ mod tests {
         EnergyMeter::new(PowerParams::ddr3_1600_x8(), TimingParams::ddr3_1600())
     }
 
-    /// Every table charge is the formula's value, bit for bit, and gaps
-    /// past the tables take the formula, for both device packs.
+    /// Background energy is [`charge_nj`] over the three cycle counts,
+    /// bit for bit, and every command charge is its formula's value,
+    /// for both device packs.
     #[test]
-    fn charge_tables_match_the_formula_bit_for_bit() {
+    fn background_is_the_charge_of_the_cycle_counts() {
         let packs = [
             (PowerParams::ddr3_1600_x8(), TimingParams::ddr3_1600()),
             (PowerParams::ddr4_2400_x8(), TimingParams::ddr4_2400()),
         ];
         for (p, t) in packs {
-            let m = EnergyMeter::new(p.clone(), t.clone());
             let charge = |current_ma: f64, cycles: Cycles| charge_nj(&p, &t, current_ma, cycles);
-            let tables = [
-                (&m.charges.active, p.idd3n),
-                (&m.charges.precharged, p.idd2n),
-                (&m.charges.powerdown, p.idd2p),
-            ];
-            for (table, current_ma) in tables {
-                for (c, nj) in table.iter().enumerate() {
-                    assert_eq!(
-                        nj.to_bits(),
-                        charge(current_ma, c as Cycles).to_bits(),
-                        "{c}"
-                    );
-                }
-                let past = (GAP_TABLE_CYCLES as Cycles..200).chain([10_000, 1 << 40]);
-                for c in (0..GAP_TABLE_CYCLES as Cycles).chain(past) {
-                    let got = m.gap_nj(table, current_ma, c);
-                    assert_eq!(got.to_bits(), charge(current_ma, c).to_bits(), "{c}");
-                }
+            let mut m = EnergyMeter::new(p.clone(), t.clone());
+            for gap in [1, 29, 30, 63, 64, 93, 94, 95, 5_000] {
+                m.on_idle_gap(gap);
+                m.on_elapsed(gap + 1, true);
+                m.on_elapsed(gap + 2, false);
+                m.on_refresh();
+                m.on_idle_gap(gap);
+                let (active, precharged) = m.standby_cycles();
+                let want = charge(p.idd3n, active)
+                    + charge(p.idd2n, precharged)
+                    + charge(p.idd2p, m.powerdown_cycles());
+                assert_eq!(
+                    m.breakdown().background_nj.to_bits(),
+                    want.to_bits(),
+                    "{gap}"
+                );
             }
             let activate =
                 charge(p.idd0, t.rc) - charge(p.idd3n, t.ras) - charge(p.idd2n, t.rc - t.ras);
@@ -342,26 +331,40 @@ mod tests {
             assert_eq!(m.charges.write.to_bits(), write.to_bits());
             let refresh = charge(p.idd5 - p.idd2n, t.rfc);
             assert_eq!(m.charges.refresh.to_bits(), refresh.to_bits());
+        }
+    }
 
-            // The accrual paths add the same values in the same order.
-            for gap in [1, 29, 30, 63, 64, 93, 94, 95, 5_000] {
-                let mut idle = EnergyMeter::new(p.clone(), t.clone());
-                idle.on_idle_gap(gap);
-                let standby = gap.min(p.powerdown_threshold);
-                let want = 0.0 + charge(p.idd2n, standby) + charge(p.idd2p, gap - standby);
-                assert_eq!(
-                    idle.breakdown().background_nj.to_bits(),
-                    want.to_bits(),
-                    "{gap}"
-                );
-                for (active, current_ma) in [(true, p.idd3n), (false, p.idd2n)] {
-                    let mut busy = EnergyMeter::new(p.clone(), t.clone());
-                    busy.on_elapsed(gap, active);
-                    busy.on_elapsed(gap + 1, active);
-                    let want = 0.0 + charge(current_ma, gap) + charge(current_ma, gap + 1);
-                    assert_eq!(busy.breakdown().background_nj.to_bits(), want.to_bits());
-                }
+    /// Splitting an idle run over many accrual calls charges exactly
+    /// what one call does: the threshold counts from the run's start,
+    /// not from each call.
+    #[test]
+    fn an_idle_run_is_charged_the_same_however_it_is_split() {
+        let threshold = PowerParams::default().powerdown_threshold;
+        let mut whole = meter();
+        whole.on_idle_gap(1_000);
+        for step in [1, 7, threshold, threshold + 1, 999] {
+            let mut split = meter();
+            let mut left = 1_000;
+            while left > 0 {
+                let c = left.min(step);
+                split.on_idle_gap(c);
+                left -= c;
             }
+            assert_eq!(split.standby_cycles(), whole.standby_cycles(), "{step}");
+            assert_eq!(split.powerdown_cycles(), whole.powerdown_cycles(), "{step}");
+            assert_eq!(split.breakdown(), whole.breakdown(), "{step}");
+        }
+        assert_eq!(whole.standby_cycles(), (0, threshold));
+        // Any non-idle accrual or a refresh starts a fresh run.
+        for end_run in [
+            |m: &mut EnergyMeter| m.on_elapsed(1, false),
+            |m: &mut EnergyMeter| m.on_refresh(),
+        ] {
+            let mut m = meter();
+            m.on_idle_gap(100);
+            end_run(&mut m);
+            m.on_idle_gap(100);
+            assert_eq!(m.powerdown_cycles(), 2 * (100 - threshold));
         }
     }
 

@@ -608,6 +608,15 @@ impl DramBridge {
             .collect()
     }
 
+    /// Power-down cycles summed over all channels.
+    #[cfg(test)]
+    pub(crate) fn powerdown_cycles(&self) -> u64 {
+        self.controllers
+            .iter()
+            .map(MemController::powerdown_cycles)
+            .sum()
+    }
+
     /// DRAM energy summed over all channels.
     pub(crate) fn energy(&self) -> EnergyBreakdown {
         let mut total = EnergyBreakdown::default();

@@ -282,6 +282,7 @@ mod tests {
     use gsdram_core::rng::SplitMix;
     use gsdram_core::stats::ReportStats;
     use gsdram_core::{cast, PatternId};
+    use gsdram_dram::controller::RowPolicy;
 
     use super::*;
     use crate::config::SystemConfig;
@@ -423,6 +424,45 @@ mod tests {
                 let want = outcome(&mut slow, &scripts, stop, true);
                 assert_eq!(got, want, "seed {seed}, run {run}, {cores} cores, {stop:?}");
             }
+        }
+    }
+
+    /// Background energy does not depend on how often memory is synced:
+    /// one load followed by 4,000 cycles of compute, as one op or as
+    /// 4,000 ops, charges the same background energy and power-down
+    /// cycles, through both loops and under both row policies.
+    #[test]
+    fn background_energy_does_not_depend_on_the_op_count() {
+        for policy in [RowPolicy::Closed, RowPolicy::Open] {
+            let mut seen = Vec::new();
+            for ops in [1, 4000] {
+                for reference in [false, true] {
+                    let mut cfg = SystemConfig::table1(1, 1 << 20);
+                    cfg.controller.row_policy = policy;
+                    let mut m = Machine::new(cfg);
+                    let addr = m.malloc(64);
+                    let mut script = vec![Op::Load {
+                        pc: 1,
+                        addr,
+                        pattern: PatternId::DEFAULT,
+                    }];
+                    let compute = if ops == 1 { 3999 } else { 0 };
+                    script.extend((0..ops).map(|_| Op::Compute(compute)));
+                    let mut p = ScriptedProgram::new(script);
+                    let mut programs: Vec<&mut dyn Program> = vec![&mut p];
+                    let r = if reference {
+                        m.run_reference(&mut programs, StopWhen::AllDone)
+                    } else {
+                        m.run(&mut programs, StopWhen::AllDone)
+                    };
+                    assert_eq!(r.cpu_cycles, 4148, "{policy:?}");
+                    let bg = r.dram_energy.background_nj.to_bits();
+                    seen.push((bg, m.bridge.powerdown_cycles()));
+                }
+            }
+            assert!(seen.iter().all(|s| *s == seen[0]), "{policy:?}: {seen:?}");
+            // A closed row leaves the rank idle long enough to power down.
+            assert_eq!(seen[0].1 > 0, policy == RowPolicy::Closed, "{policy:?}");
         }
     }
 }
