@@ -511,29 +511,34 @@ impl MemController {
     /// Satisfies the time-skip contract of [`gsdram_core::time`]:
     /// `advance(next_event() - 1)` issues nothing, `advance
     /// (next_event())` makes progress.
-    pub fn next_event(&self) -> Option<Cycles> {
+    pub fn next_event(&mut self) -> Option<Cycles> {
         if !self.horizon.is_stale() {
             return self.horizon.known();
         }
         self.compute_next_event()
     }
 
-    /// The uncached next-event computation: a pure replay of the next
-    /// scheduling step's decision logic. The fold over {selected
-    /// candidate, due auto-precharge, refresh due} is exact — see the
-    /// ordering-invariant argument in `docs/PERF.md`.
-    fn compute_next_event(&self) -> Option<Cycles> {
+    /// The uncached next-event computation: a replay of the next
+    /// scheduling step's decision logic that changes no state. The fold
+    /// over {selected candidate, due auto-precharge, refresh due} is
+    /// exact — see the ordering-invariant argument in `docs/PERF.md`.
+    /// It scans into the step's scratch buffers: with the horizon
+    /// stale, the next step rescans before it reads them.
+    fn compute_next_event(&mut self) -> Option<Cycles> {
         let mut fold = TimeFold::new();
         fold.fold_opt(self.refresh.horizon());
         let writes = self
             .wdrain
             .would_serve(self.writeq.len(), !self.readq.is_empty());
         let queue = if writes { &self.writeq } else { &self.readq };
-        let (mut cands, mut best_per_bank) = (Vec::new(), Vec::new());
-        self.candidates_into(queue, self.now, &mut best_per_bank, &mut cands);
+        let mut cands = std::mem::take(&mut self.cand_buf);
+        let mut bank_best = std::mem::take(&mut self.bank_best);
+        self.candidates_into(queue, self.now, &mut bank_best, &mut cands);
         if !cands.is_empty() {
             fold.fold(cands[self.sched.select(&cands)].ready);
         }
+        self.cand_buf = cands;
+        self.bank_best = bank_best;
         if self.cfg.row_policy == RowPolicy::Closed {
             fold.fold_opt(self.peek_close(self.now));
         }
@@ -792,15 +797,26 @@ impl MemController {
         self.accrue_energy(self.now);
     }
 
-    /// [`advance_observed`](Self::advance_observed), returning whether
-    /// a recorded completion is due by `to` — the one pass a per-op
-    /// sync needs. On a quiet stretch (the cached horizon skips `to`,
-    /// nothing is due) it costs one horizon compare, the clock leap,
-    /// the energy accrual and a scan of the usually empty completion
-    /// list; `false` means there is nothing to collect through `to`.
-    pub fn advance_polled(&mut self, to: Cycles, events: &mut EventHub) -> bool {
+    /// [`advance_observed`](Self::advance_observed), then one pass over
+    /// the recorded completions — what a full sync needs. Returns
+    /// whether a completion is due by `to`, and the earliest cycle after
+    /// `to` at which anything happens if no request arrives: the
+    /// [`next_event`](Self::next_event) (known, since the advance just
+    /// learned or kept the horizon) or a later completion; `None` when
+    /// idle. Taking the due completions leaves that cycle valid.
+    pub fn advance_polled(&mut self, to: Cycles, events: &mut EventHub) -> (bool, Option<Cycles>) {
         self.advance_observed(to, events);
-        self.completions.iter().any(|c| c.at <= to)
+        let mut due = false;
+        let mut later = TimeFold::new();
+        for c in &self.completions {
+            if c.at <= to {
+                due = true;
+            } else {
+                later.fold(c.at);
+            }
+        }
+        later.fold_opt(self.next_event());
+        (due, later.earliest())
     }
 
     /// The earliest recorded completion time, if any.

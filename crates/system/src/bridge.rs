@@ -158,6 +158,22 @@ pub struct DramBridge {
     addr_buf: Vec<u64>,
     /// Sub-request scratch for enqueue expansion.
     sub_buf: Vec<(u64, PatternId)>,
+    /// The CPU time memory was last synced to (the latest of every
+    /// sync, quiet ones included): where the reference loop, which
+    /// advances every channel at every sync, would have every clock.
+    sync_cpu: u64,
+    /// No channel has anything due before this CPU time: the earliest
+    /// controller horizon or recorded completion, converted. A sync to
+    /// an earlier time is quiet and advances nothing; a channel whose
+    /// clock it leaves behind catches up before its next enqueue. Zero
+    /// (nothing is quiet) after every enqueue and every
+    /// advance-until-completion, until a full sync's
+    /// [`advance_all`](Self::advance_all) learns it again.
+    quiet_until: u64,
+    /// Whether a quiet sync may have left a channel's clock behind
+    /// `sync_cpu`. Only then does an enqueue catch its channel up, so a
+    /// loop that never skips a sync never catches up.
+    lagging: bool,
 }
 
 impl DramBridge {
@@ -200,6 +216,9 @@ impl DramBridge {
             next_req: 0,
             addr_buf: Vec::new(),
             sub_buf: Vec::new(),
+            sync_cpu: 0,
+            quiet_until: 0,
+            lagging: false,
         }
     }
 
@@ -419,6 +438,7 @@ impl DramBridge {
             });
         }
         let write = kind == AccessKind::Write;
+        self.quiet_until = 0;
         for &(a, pattern) in &subs {
             // One decompose drives both routing and coordinates: the
             // map's channel stage picks the controller (under the
@@ -427,6 +447,7 @@ impl DramBridge {
             // gathered line — stays on one channel).
             let loc = self.map.decompose(a);
             let ch = loc.channel;
+            self.catch_up(ch, events);
             let at = self.to_mem(at_cpu).max(self.controllers[ch].now());
             let id = self.alloc_req_id();
             let req = MemRequest {
@@ -487,26 +508,77 @@ impl DramBridge {
         true
     }
 
-    /// Advances every channel (clock and energy cursor) to `t_mem`, one
-    /// controller after another, and returns whether any channel now
-    /// holds a completion due by `t_mem`. Each controller is checked
-    /// once: a channel whose cached horizon skips `t_mem` only leaps its
-    /// clock and accrues its energy.
-    pub(crate) fn advance_all(&mut self, t_mem: u64, events: &mut EventHub) -> bool {
-        let mut due = false;
-        for c in &mut self.controllers {
-            due |= c.advance_polled(t_mem, events);
+    /// Records a sync to `t_cpu` and returns whether it is quiet: no
+    /// channel has a command, refresh or completion due by then, so
+    /// advancing any clock to it would change nothing but the clock and
+    /// the energy cursor.
+    pub(crate) fn quiet(&mut self, t_cpu: u64) -> bool {
+        let quiet = t_cpu < self.quiet_until;
+        self.lagging |= quiet;
+        self.sync_cpu = self.sync_cpu.max(t_cpu);
+        quiet
+    }
+
+    /// Advances every channel (clock and energy cursor) to CPU time
+    /// `t_cpu`, one controller after another, and returns whether any
+    /// channel now holds a completion due by then. Each controller is
+    /// checked once: a channel whose cached horizon skips the time only
+    /// leaps its clock and accrues its energy. The same pass learns
+    /// `quiet_until` (`u64::MAX` when memory is idle); taking the due
+    /// completions leaves it valid, and an enqueue while delivering
+    /// them resets it.
+    pub(crate) fn advance_all(&mut self, t_cpu: u64, events: &mut EventHub) -> bool {
+        if t_cpu >= self.sync_cpu {
+            self.lagging = false;
         }
+        self.sync_cpu = self.sync_cpu.max(t_cpu);
+        let t_mem = self.to_mem(t_cpu);
+        let mut due = false;
+        let mut next = TimeFold::new();
+        for c in &mut self.controllers {
+            let (c_due, c_next) = c.advance_polled(t_mem, events);
+            due |= c_due;
+            next.fold_opt(c_next);
+        }
+        self.quiet_until = next
+            .earliest()
+            .map_or(u64::MAX, |m| m.saturating_mul(self.cpu_per_mem));
         due
+    }
+
+    /// Brings channel `ch`'s clock and energy cursor up to the last
+    /// sync, if a quiet sync left it behind. Nothing is due on such a
+    /// channel by then, so this only leaps. A channel at or past the
+    /// sync is left alone: advancing it again could issue, at the sync
+    /// cycle, a command for a request enqueued since, before the
+    /// scheduler has seen the requests that follow it.
+    fn catch_up(&mut self, ch: usize, events: &mut EventHub) {
+        if !self.lagging {
+            return;
+        }
+        let t_mem = self.to_mem(self.sync_cpu);
+        let c = &mut self.controllers[ch];
+        if c.now() < t_mem {
+            c.advance_observed(t_mem, events);
+        }
+    }
+
+    /// [`catch_up`](Self::catch_up) on every channel: a run's report
+    /// reads every clock and energy meter as of the last sync.
+    pub(crate) fn catch_up_all(&mut self, events: &mut EventHub) {
+        for ch in 0..self.controllers.len() {
+            self.catch_up(ch, events);
+        }
+        self.lagging = false;
     }
 
     /// The exact next memory-clock cycle at which any channel's state
     /// can change or a recorded completion becomes due: the global fold
     /// of every controller's [`MemController::next_event`] and earliest
     /// pending completion. `None` when the whole memory system is idle.
-    pub(crate) fn next_event(&self) -> Option<u64> {
+    pub(crate) fn next_event(&mut self) -> Option<u64> {
         let mut fold = TimeFold::new();
-        for c in &self.controllers {
+        for c in &mut self.controllers {
             fold.fold_opt(c.next_event());
             fold.fold_opt(c.peek_completion());
         }
@@ -526,11 +598,16 @@ impl DramBridge {
         self.controllers[ch].take_completions_into(t_mem, out);
     }
 
+    /// Advances channel `ch` until it holds a completion (see
+    /// [`MemController::advance_until_completion`]). The steps move
+    /// the channel's horizon, so the next sync is a full one and
+    /// learns `quiet_until` afresh.
     pub(crate) fn advance_channel_until_completion(
         &mut self,
         ch: usize,
         events: &mut EventHub,
     ) -> Option<u64> {
+        self.quiet_until = 0;
         self.controllers[ch].advance_until_completion(events)
     }
 
@@ -672,17 +749,28 @@ impl Machine {
 
     /// Advances the memory system to CPU time `t`, delivering any
     /// completions. Returns whether a fetch was delivered, i.e. whether
-    /// a waiting core may have woken.
+    /// a waiting core may have woken. While nothing is due (the common
+    /// case: a cache hit or a compute op) this is one compare.
     pub(crate) fn sync_memory(&mut self, t_cpu: u64, programs: &mut [&mut dyn Program]) -> bool {
-        let t_mem = self.bridge.to_mem(t_cpu);
+        if self.bridge.quiet(t_cpu) {
+            return false;
+        }
+        self.sync_all(t_cpu, programs)
+    }
+
+    /// [`sync_memory`](Self::sync_memory) without the quiet check:
+    /// advances every channel to `t_cpu`, learning how long the
+    /// following syncs stay quiet, and delivers what is due.
+    pub(crate) fn sync_all(&mut self, t_cpu: u64, programs: &mut [&mut dyn Program]) -> bool {
         // Advance every channel to the horizon first, then drain and
         // deliver per channel. Delivery can enqueue fresh writebacks;
         // those land at or after `t_mem` and are processed by the next
         // sync, on every path identically. With no completion due
-        // (the common, quiet case) there is nothing to drain.
-        if !self.bridge.advance_all(t_mem, &mut self.events) {
+        // there is nothing to drain.
+        if !self.bridge.advance_all(t_cpu, &mut self.events) {
             return false;
         }
+        let t_mem = self.bridge.to_mem(t_cpu);
         let mut delivered = false;
         let mut comps = std::mem::take(&mut self.comp_buf);
         for ch in 0..self.bridge.channels() {

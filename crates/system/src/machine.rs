@@ -123,7 +123,7 @@ impl Machine {
     /// This is the machine-level face of the time-skip contract in
     /// [`gsdram_core::time`]: between now and the returned cycle no
     /// component's observable state changes without new input.
-    pub fn next_event(&self) -> Option<u64> {
+    pub fn next_event(&mut self) -> Option<u64> {
         let mut fold = TimeFold::new();
         fold.fold_opt(self.cores.next_ready_time());
         fold.fold_opt(self.bridge.next_event().map(|m| self.bridge.to_cpu(m)));
