@@ -123,7 +123,8 @@ pub struct EvictedLine {
     pub key: LineKey,
     /// Whether it held modified data that must be written back.
     pub dirty: bool,
-    /// The line's words.
+    /// The line's words. Empty for a clean victim of
+    /// [`SetAssocCache::install`], whose buffer the new line took over.
     pub data: Vec<u64>,
 }
 
@@ -302,7 +303,9 @@ impl SetAssocCache {
 
     /// Installs a copy of `data` as `key`, marked as `fill` says,
     /// evicting the LRU way if the set is full. Returns the installed
-    /// words and the eviction victim (with data, for writeback) if any.
+    /// words and the eviction victim if any: a dirty victim keeps its
+    /// words for the writeback, a clean one hands its buffer to the new
+    /// line and comes back without words.
     ///
     /// # Panics
     ///
@@ -321,12 +324,7 @@ impl SetAssocCache {
         );
         self.lru_gen += 1;
         let set_idx = self.set_index(key);
-        let new_slot = Slot {
-            key,
-            dirty: fill != Fill::Clean,
-            lru: self.lru_gen,
-            data: data.to_vec(),
-        };
+        let (dirty, lru_gen) = (fill != Fill::Clean, self.lru_gen);
         let set = &mut self.sets[set_idx];
         // One pass over the set both rules out a resident copy and finds
         // the least recently used way, which a full set gives up.
@@ -342,13 +340,30 @@ impl SetAssocCache {
             .filter(|_| set.len() >= self.cfg.assoc);
         let (way, victim) = match lru_way {
             Some(way) => {
-                let victim = std::mem::replace(&mut set[way], new_slot);
+                let slot = &mut set[way];
                 self.stats.evictions += 1;
-                self.stats.writebacks += u64::from(victim.dirty);
-                (way, Some(victim.evicted()))
+                self.stats.writebacks += u64::from(slot.dirty);
+                let words = if slot.dirty {
+                    std::mem::replace(&mut slot.data, data.to_vec())
+                } else {
+                    slot.data.copy_from_slice(data);
+                    Vec::new()
+                };
+                let victim = EvictedLine {
+                    key: slot.key,
+                    dirty: slot.dirty,
+                    data: words,
+                };
+                (slot.key, slot.dirty, slot.lru) = (key, dirty, lru_gen);
+                (way, Some(victim))
             }
             None => {
-                set.push(new_slot);
+                set.push(Slot {
+                    key,
+                    dirty,
+                    lru: lru_gen,
+                    data: data.to_vec(),
+                });
                 (set.len() - 1, None)
             }
         };

@@ -158,7 +158,8 @@ fn key_of(line: u8, pattern: bool) -> LineKey {
 
 /// The real cache behaves exactly like the abstract LRU model: same
 /// hits, same eviction victims, same data, same dirty bits, same
-/// counters.
+/// counters. Eviction by a fill returns a dirty victim's words and a
+/// clean victim's none (its buffer holds the new line).
 #[test]
 fn cache_matches_reference_model() {
     let mut rng = SplitMix(0xCAC1);
@@ -196,13 +197,21 @@ fn cache_matches_reference_model() {
                     fill_counter += 1;
                     let data = vec![fill_counter; 8];
                     let r = real.fill_from(key, &data);
+                    assert_eq!(real.data(key), Some(&data[..]), "installed words");
                     let m = model.fill(key, data);
                     match (r, m) {
                         (None, None) => {}
                         (Some(re), Some((mk, mdirty, mdata))) => {
                             assert_eq!(re.key, mk, "victim identity");
                             assert_eq!(re.dirty, mdirty, "victim dirty bit");
-                            assert_eq!(re.data, mdata, "victim data");
+                            // A dirty victim carries its words for the
+                            // writeback; a clean one gave its buffer to
+                            // the new line and carries none.
+                            if mdirty {
+                                assert_eq!(re.data, mdata, "dirty victim data");
+                            } else {
+                                assert!(re.data.is_empty(), "clean victim words");
+                            }
                         }
                         (r, m) => {
                             panic!(
